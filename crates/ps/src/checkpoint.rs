@@ -4,209 +4,146 @@
 //! resume after worker or server failures. The simulation mirrors that
 //! with a compact binary dump of every row (and its Adagrad accumulator
 //! state is deliberately *not* saved — matching the common deployment
-//! choice of cold-starting optimizer state after recovery).
+//! choice of cold-starting optimizer state after recovery; the round
+//! journal carries the accumulators when a resume must be bit-identical).
 //!
-//! Format (little-endian):
+//! A checkpoint is a sealed file ([`mamdr_util::sealed`]), body
+//! little-endian:
 //!
 //! ```text
-//! magic "MAMDRPS1" | u32 dim | u64 n_rows | n_rows × (u32 table, u32 row, dim × f32)
+//! magic "MAMDRPS2" | u32 dim | u64 n_rows | n_rows × (u32 table, u32 row, dim × f32) | u64 FNV-1a
 //! ```
 
 use crate::kv::{ParamKey, ParameterServer};
 use mamdr_obs::{EventLog, Value};
-use std::io::{Read, Write};
+use mamdr_util::sealed::{self, Cursor, SealError};
+use mamdr_util::write_f32_section;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
-const MAGIC: &[u8; 8] = b"MAMDRPS1";
+const MAGIC: &[u8; 8] = b"MAMDRPS2";
 
-/// A checkpointing error.
-#[derive(Debug)]
-pub enum CheckpointError {
-    /// Underlying I/O failure.
-    Io(std::io::Error),
-    /// The stream is not a valid checkpoint.
-    Corrupt(String),
-}
-
-impl From<std::io::Error> for CheckpointError {
-    fn from(e: std::io::Error) -> Self {
-        CheckpointError::Io(e)
-    }
-}
-
-impl std::fmt::Display for CheckpointError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CheckpointError::Io(e) => write!(f, "I/O error: {e}"),
-            CheckpointError::Corrupt(m) => write!(f, "corrupt checkpoint: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for CheckpointError {}
+/// File extension of on-disk parameter-server checkpoints.
+pub const CHECKPOINT_EXT: &str = "mamdrps";
 
 /// Serializes every row of the server.
 ///
 /// Rows are written in a deterministic order (sorted by key) so identical
 /// server states produce byte-identical checkpoints.
-pub fn save(ps: &ParameterServer, dim: usize, mut w: impl Write) -> Result<(), CheckpointError> {
-    let mut rows = ps.dump_rows();
-    rows.sort_by_key(|(k, _)| (k.table, k.row));
-    w.write_all(MAGIC)?;
-    w.write_all(&(dim as u32).to_le_bytes())?;
-    w.write_all(&(rows.len() as u64).to_le_bytes())?;
-    for (key, value) in rows {
-        if value.len() != dim {
-            return Err(CheckpointError::Corrupt(format!(
-                "row {:?} has width {} (expected {})",
-                key,
-                value.len(),
-                dim
-            )));
-        }
-        w.write_all(&key.table.to_le_bytes())?;
-        w.write_all(&key.row.to_le_bytes())?;
-        for v in value {
-            w.write_all(&v.to_le_bytes())?;
-        }
-    }
+pub fn save(ps: &ParameterServer, dim: usize, mut w: impl Write) -> Result<(), SealError> {
+    w.write_all(&encode(ps, dim)?)?;
     Ok(())
 }
 
-/// Restores a checkpoint into a fresh server with `n_shards` shards.
-pub fn load(mut r: impl Read, n_shards: usize) -> Result<ParameterServer, CheckpointError> {
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(CheckpointError::Corrupt("bad magic".into()));
-    }
-    let mut b4 = [0u8; 4];
-    r.read_exact(&mut b4)?;
-    let dim = u32::from_le_bytes(b4) as usize;
-    let mut b8 = [0u8; 8];
-    r.read_exact(&mut b8)?;
-    let n_rows = u64::from_le_bytes(b8) as usize;
+/// The sealed bytes of a checkpoint of `ps`.
+fn encode(ps: &ParameterServer, dim: usize) -> Result<Vec<u8>, SealError> {
+    let mut rows = ps.dump_rows();
+    rows.sort_by_key(|(k, _)| (k.table, k.row));
+    sealed::seal(MAGIC, |b| {
+        b.reserve(12 + rows.len() * (8 + 4 * dim));
+        b.extend_from_slice(&(dim as u32).to_le_bytes());
+        b.extend_from_slice(&(rows.len() as u64).to_le_bytes());
+        for (key, value) in &rows {
+            if value.len() != dim {
+                return Err(SealError::Corrupt(format!(
+                    "row {key:?} has width {} (expected {dim})",
+                    value.len()
+                )));
+            }
+            b.extend_from_slice(&key.table.to_le_bytes());
+            b.extend_from_slice(&key.row.to_le_bytes());
+            write_f32_section(&mut *b, value)?;
+        }
+        Ok(())
+    })
+}
 
-    let ps = ParameterServer::new(n_shards, dim);
-    let mut fbuf = vec![0u8; 4 * dim];
-    for _ in 0..n_rows {
-        r.read_exact(&mut b4)?;
-        let table = u32::from_le_bytes(b4);
-        r.read_exact(&mut b4)?;
-        let row = u32::from_le_bytes(b4);
-        r.read_exact(&mut fbuf)?;
-        let value: Vec<f32> =
-            fbuf.chunks_exact(4).map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect();
-        ps.init_row(ParamKey::new(table, row), value);
+fn decode(body: &[u8], n_shards: usize) -> Result<ParameterServer, SealError> {
+    let mut cur = Cursor::new(body);
+    let dim = cur.u32()? as usize;
+    let n_rows = cur.u64()? as usize;
+    if n_rows.checked_mul(8 + 4 * dim).is_none_or(|b| b != cur.remaining()) {
+        return Err(SealError::Corrupt(format!(
+            "{n_rows} rows × dim {dim} do not fill the {}-byte row section",
+            cur.remaining()
+        )));
     }
+    let ps = ParameterServer::new(n_shards, dim);
+    for _ in 0..n_rows {
+        let key = ParamKey::new(cur.u32()?, cur.u32()?);
+        ps.init_row(key, cur.f32s(dim)?);
+    }
+    cur.finish()?;
     Ok(ps)
 }
 
-/// File extension of on-disk parameter-server checkpoints.
-pub const CHECKPOINT_EXT: &str = "mamdrps";
-
-/// Writes a checkpoint to `dir/ckpt-<round>.mamdrps` and returns the path.
+/// Commits a checkpoint to `dir/ckpt-<round>.mamdrps` (atomically and
+/// durably, see [`sealed::write_atomic`]) and returns the path.
 pub fn save_to_dir(
     ps: &ParameterServer,
     dim: usize,
     dir: &Path,
     round: u64,
-) -> Result<PathBuf, CheckpointError> {
-    std::fs::create_dir_all(dir)?;
+) -> Result<PathBuf, SealError> {
     let path = dir.join(format!("ckpt-{round:010}.{CHECKPOINT_EXT}"));
-    let mut w = std::io::BufWriter::new(std::fs::File::create(&path)?);
-    save(ps, dim, &mut w)?;
-    use std::io::Write as _;
-    w.flush()?;
+    sealed::write_atomic(&path, &encode(ps, dim)?)?;
     Ok(path)
 }
 
-/// Quick structural validation of a checkpoint file: magic, plausible
-/// header, and an exact file-length match against the declared row count.
-/// Catches truncation and header corruption without parsing every row
-/// (payload bit flips are the journal's checksum's job — the v1 checkpoint
-/// format predates `mamdr-util` and carries no digest).
-fn validate_checkpoint(path: &Path) -> Result<(), CheckpointError> {
-    let mut f = std::fs::File::open(path)?;
-    let mut header = [0u8; 8 + 4 + 8];
-    f.read_exact(&mut header)?;
-    if &header[..8] != MAGIC {
-        return Err(CheckpointError::Corrupt("bad magic".into()));
-    }
-    let dim = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes")) as u64;
-    let n_rows = u64::from_le_bytes(header[12..20].try_into().expect("8 bytes"));
-    let expected = 20 + n_rows.saturating_mul(8 + 4 * dim);
-    let actual = f.metadata()?.len();
-    if actual != expected {
-        return Err(CheckpointError::Corrupt(format!(
-            "file is {actual} bytes, header declares {expected} ({n_rows} rows × dim {dim})"
-        )));
-    }
-    Ok(())
+/// Loads a checkpoint file into a fresh server with `n_shards` shards. The
+/// digest is verified before any row is parsed.
+pub fn load_from_path(path: &Path, n_shards: usize) -> Result<ParameterServer, SealError> {
+    decode(&sealed::read_verified(MAGIC, path)?, n_shards)
 }
 
-/// Finds the newest *structurally valid* checkpoint in `dir`: candidates
-/// (`ckpt-<round>.mamdrps`, lexicographic on the zero-padded name) are
-/// scanned newest-first, and a corrupt or truncated file is skipped — with
-/// a `checkpoint_skipped` event when `log` is given — falling back to the
-/// next-newest instead of failing the whole discovery.
-///
-/// This is the single discovery path shared by recovery (the PS trainer
-/// resuming) and serving (`mamdr-serve` building a snapshot from the most
-/// recent training state). Returns `Ok(None)` for an empty or absent
-/// directory, or when every candidate is corrupt; non-checkpoint files are
-/// ignored.
-pub fn latest_checkpoint(
+/// [`sealed::newest_valid`] over `<prefix>-<round>.<ext>` files in `dir`,
+/// emitting a `skip_event` (with the path and the error) into `log` for
+/// every candidate `open` rejects. The one discovery path of every
+/// persistent format this crate writes.
+pub(crate) fn newest_valid<T>(
     dir: &Path,
+    prefix: &str,
+    ext: &str,
+    open: impl FnMut(&Path) -> Result<T, SealError>,
     log: Option<&EventLog>,
-) -> Result<Option<PathBuf>, CheckpointError> {
-    let entries = match std::fs::read_dir(dir) {
-        Ok(e) => e,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e.into()),
+    skip_event: &str,
+) -> Result<Option<(PathBuf, T)>, SealError> {
+    let skipped = |path: &Path, e: SealError| {
+        if let Some(log) = log {
+            log.emit(
+                skip_event,
+                &[
+                    ("path", Value::from(path.to_string_lossy().into_owned())),
+                    ("error", Value::from(e.to_string())),
+                ],
+            );
+        }
     };
-    let mut candidates: Vec<PathBuf> = Vec::new();
-    for entry in entries {
-        let path = entry?.path();
-        let name = match path.file_name().and_then(|n| n.to_str()) {
-            Some(n) => n,
-            None => continue,
-        };
-        let is_ckpt = name.starts_with("ckpt-")
-            && path.extension().and_then(|e| e.to_str()) == Some(CHECKPOINT_EXT);
-        if is_ckpt {
-            candidates.push(path);
-        }
-    }
-    candidates.sort();
-    for path in candidates.into_iter().rev() {
-        match validate_checkpoint(&path) {
-            Ok(()) => return Ok(Some(path)),
-            Err(e) => {
-                if let Some(log) = log {
-                    log.emit(
-                        "checkpoint_skipped",
-                        &[
-                            ("path", Value::from(path.to_string_lossy().into_owned())),
-                            ("error", Value::from(e.to_string())),
-                        ],
-                    );
-                }
-            }
-        }
-    }
-    Ok(None)
+    Ok(sealed::newest_valid(dir, prefix, ext, open, skipped)?)
 }
 
-/// Loads a checkpoint file into a fresh server with `n_shards` shards.
-pub fn load_from_path(path: &Path, n_shards: usize) -> Result<ParameterServer, CheckpointError> {
-    let r = std::io::BufReader::new(std::fs::File::open(path)?);
-    load(r, n_shards)
+/// Finds the newest checkpoint in `dir` whose digest verifies: candidates
+/// (`ckpt-<round>.mamdrps`) are scanned newest-first, and a corrupt or
+/// truncated file is skipped — with a `checkpoint_skipped` event when
+/// `log` is given — falling back to the next-newest instead of failing the
+/// whole discovery.
+///
+/// Serving (`mamdr-serve` building a snapshot from the most recent
+/// training state) discovers through here. Returns `Ok(None)` for an empty
+/// or absent directory, or when every candidate is corrupt; non-checkpoint
+/// files are ignored.
+pub fn latest_checkpoint(dir: &Path, log: Option<&EventLog>) -> Result<Option<PathBuf>, SealError> {
+    let open = |p: &Path| sealed::read_verified(MAGIC, p).map(drop);
+    Ok(newest_valid(dir, "ckpt", CHECKPOINT_EXT, open, log, "checkpoint_skipped")?.map(|(p, ())| p))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn load(bytes: &[u8], n_shards: usize) -> ParameterServer {
+        decode(sealed::unseal(MAGIC, bytes).unwrap(), n_shards).unwrap()
+    }
 
     fn sample_server() -> ParameterServer {
         let ps = ParameterServer::new(4, 3);
@@ -226,7 +163,7 @@ mod tests {
         let ps = sample_server();
         let mut buf = Vec::new();
         save(&ps, 3, &mut buf).unwrap();
-        let restored = load(buf.as_slice(), 2).unwrap();
+        let restored = load(&buf, 2);
         assert_eq!(restored.n_rows(), ps.n_rows());
         for t in 0..2u32 {
             for r in 0..5u32 {
@@ -243,20 +180,6 @@ mod tests {
         let mut b = Vec::new();
         save(&sample_server(), 3, &mut b).unwrap();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn rejects_garbage() {
-        assert!(matches!(
-            load(&b"NOTMAGIC"[..], 1),
-            Err(CheckpointError::Corrupt(_)) | Err(CheckpointError::Io(_))
-        ));
-        // truncated body
-        let ps = sample_server();
-        let mut buf = Vec::new();
-        save(&ps, 3, &mut buf).unwrap();
-        buf.truncate(buf.len() - 5);
-        assert!(load(buf.as_slice(), 1).is_err());
     }
 
     #[test]
@@ -313,7 +236,7 @@ mod tests {
         let ps = sample_server();
         let mut buf = Vec::new();
         save(&ps, 3, &mut buf).unwrap();
-        let restored = load(buf.as_slice(), 4).unwrap();
+        let restored = load(&buf, 4);
         let key = ParamKey::new(0, 0);
         restored.push_delta(key, &[1.0, 1.0, 1.0]);
         let v = restored.read_silent(key).unwrap();

@@ -6,8 +6,8 @@
 //! rescales every subsequent update), and the final [`crate::
 //! DistributedReport`] aggregates per-round losses, cache counters, and
 //! traffic from round zero. The journal closes that gap. Every
-//! `checkpoint_every` rounds the driver writes, atomically (temp file +
-//! rename), one `journal-<round>.mamdrj` holding:
+//! `checkpoint_every` rounds the driver commits one sealed
+//! `journal-<round>.mamdrj` ([`mamdr_util::sealed`]) holding:
 //!
 //! * the number of completed rounds (the RNG cursor: every stream this
 //!   workspace uses is derived statelessly from `(seed, round, worker)`,
@@ -19,48 +19,21 @@
 //!   traffic, guard counters),
 //! * the complete Adagrad accumulator state,
 //!
-//! all integrity-protected by the workspace's FNV-1a checksum
-//! ([`mamdr_util::Checksum`]), so a torn write surfaces as
-//! [`JournalError::Corrupt`] and recovery falls back to the next-newest
+//! all behind the sealed file's FNV-1a digest, so a torn write surfaces as
+//! [`SealError::Corrupt`] and recovery falls back to the next-newest
 //! journal instead of resuming from garbage.
 
 use crate::cache::CacheStats;
+use crate::checkpoint::newest_valid;
 use crate::kv::ParamKey;
-use mamdr_obs::{EventLog, Value};
-use mamdr_util::Checksum;
+use mamdr_obs::EventLog;
+use mamdr_util::sealed::{self, Cursor, SealError};
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 8] = b"MAMDRJN1";
 
 /// File extension of on-disk round journals.
 pub const JOURNAL_EXT: &str = "mamdrj";
-
-/// A journaling error.
-#[derive(Debug)]
-pub enum JournalError {
-    /// Underlying I/O failure.
-    Io(std::io::Error),
-    /// The file is not a valid journal (bad magic, checksum mismatch,
-    /// truncation, or malformed body).
-    Corrupt(String),
-}
-
-impl From<std::io::Error> for JournalError {
-    fn from(e: std::io::Error) -> Self {
-        JournalError::Io(e)
-    }
-}
-
-impl std::fmt::Display for JournalError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            JournalError::Io(e) => write!(f, "I/O error: {e}"),
-            JournalError::Corrupt(m) => write!(f, "corrupt journal: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for JournalError {}
 
 /// One resumable round boundary: the aggregates of every completed round
 /// plus the optimizer state the checkpoint format does not carry.
@@ -97,9 +70,9 @@ impl RoundJournal {
         format!("journal-{:010}.{JOURNAL_EXT}", self.rounds_done)
     }
 
-    /// Serializes the body (everything between magic and checksum).
-    fn encode_body(&self) -> Result<Vec<u8>, JournalError> {
-        let mut b = Vec::with_capacity(128 + self.adagrad.len() * (8 + 4 * self.dim as usize));
+    /// Appends the body (everything between magic and digest) to `b`.
+    fn encode_body(&self, b: &mut Vec<u8>) -> Result<(), SealError> {
+        b.reserve(128 + self.adagrad.len() * (8 + 4 * self.dim as usize));
         b.extend_from_slice(&self.rounds_done.to_le_bytes());
         let name = self.checkpoint_file.as_bytes();
         b.extend_from_slice(&(name.len() as u32).to_le_bytes());
@@ -122,7 +95,7 @@ impl RoundJournal {
         rows.sort_by_key(|(k, _)| (k.table, k.row));
         for (key, acc) in &rows {
             if acc.len() != self.dim as usize {
-                return Err(JournalError::Corrupt(format!(
+                return Err(SealError::Corrupt(format!(
                     "accumulator {key:?} has width {} (expected {})",
                     acc.len(),
                     self.dim
@@ -134,50 +107,28 @@ impl RoundJournal {
                 b.extend_from_slice(&v.to_le_bytes());
             }
         }
-        Ok(b)
+        Ok(())
     }
 
-    /// Writes the journal to `dir/<file_name()>` atomically: the bytes land
-    /// in a temp file first and are renamed into place, so a crash mid-write
-    /// can truncate only the temp file, never a committed journal.
-    pub fn write_to_dir(&self, dir: &Path) -> Result<PathBuf, JournalError> {
-        std::fs::create_dir_all(dir)?;
-        let body = self.encode_body()?;
-        let mut bytes = Vec::with_capacity(MAGIC.len() + body.len() + 8);
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&body);
-        bytes.extend_from_slice(&Checksum::of(&body).to_le_bytes());
+    /// Commits the journal to `dir/<file_name()>` (atomically and durably,
+    /// see [`sealed::write_atomic`]): a crash mid-write can leave only a
+    /// staging file, never a torn committed journal.
+    pub fn write_to_dir(&self, dir: &Path) -> Result<PathBuf, SealError> {
         let path = dir.join(self.file_name());
-        let tmp = dir.join(format!("{}.tmp", self.file_name()));
-        std::fs::write(&tmp, &bytes)?;
-        std::fs::rename(&tmp, &path)?;
+        sealed::write_atomic(&path, &sealed::seal(MAGIC, |b| self.encode_body(b))?)?;
         Ok(path)
     }
 
     /// Reads and verifies a journal file.
-    pub fn read(path: &Path) -> Result<RoundJournal, JournalError> {
-        let bytes = std::fs::read(path)?;
-        if bytes.len() < MAGIC.len() + 8 || &bytes[..MAGIC.len()] != MAGIC {
-            return Err(JournalError::Corrupt("bad magic or truncated header".into()));
-        }
-        let body = &bytes[MAGIC.len()..bytes.len() - 8];
-        let stored = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().expect("8 bytes"));
-        if Checksum::of(body) != stored {
-            return Err(JournalError::Corrupt("checksum mismatch".into()));
-        }
-        Self::decode_body(body)
+    pub fn read(path: &Path) -> Result<RoundJournal, SealError> {
+        Self::decode_body(&sealed::read_verified(MAGIC, path)?)
     }
 
-    fn decode_body(b: &[u8]) -> Result<RoundJournal, JournalError> {
-        let corrupt = |m: &str| JournalError::Corrupt(m.to_string());
-        let mut cur = Cursor { bytes: b, pos: 0 };
+    fn decode_body(b: &[u8]) -> Result<RoundJournal, SealError> {
+        let corrupt = |m: &str| SealError::Corrupt(m.to_string());
+        let mut cur = Cursor::new(b);
         let rounds_done = cur.u64()?;
-        let name_len = cur.u32()? as usize;
-        if name_len > 4096 {
-            return Err(corrupt("checkpoint name implausibly long"));
-        }
-        let checkpoint_file = String::from_utf8(cur.take(name_len)?.to_vec())
-            .map_err(|_| corrupt("checkpoint name is not UTF-8"))?;
+        let checkpoint_file = cur.str(4096)?;
         let hits = cur.u64()?;
         let misses = cur.u64()?;
         let max_staleness = cur.u64()?;
@@ -190,7 +141,7 @@ impl RoundJournal {
         }
         let mut round_losses = Vec::with_capacity(n_losses);
         for _ in 0..n_losses {
-            round_losses.push(f64::from_le_bytes(cur.take(8)?.try_into().expect("8 bytes")));
+            round_losses.push(cur.f64()?);
         }
         let dim = cur.u32()?;
         let n_acc = cur.u64()? as usize;
@@ -200,18 +151,10 @@ impl RoundJournal {
         }
         let mut adagrad = Vec::with_capacity(n_acc);
         for _ in 0..n_acc {
-            let table = cur.u32()?;
-            let row = cur.u32()?;
-            let acc: Vec<f32> = cur
-                .take(4 * dim as usize)?
-                .chunks_exact(4)
-                .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-                .collect();
-            adagrad.push((ParamKey::new(table, row), acc));
+            let key = ParamKey::new(cur.u32()?, cur.u32()?);
+            adagrad.push((key, cur.f32s(dim as usize)?));
         }
-        if cur.pos != b.len() {
-            return Err(corrupt("trailing bytes after accumulator section"));
-        }
+        cur.finish()?;
         Ok(RoundJournal {
             rounds_done,
             checkpoint_file,
@@ -227,31 +170,6 @@ impl RoundJournal {
     }
 }
 
-/// Bounds-checked reader over a journal body.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], JournalError> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.bytes.len()).ok_or_else(|| {
-            JournalError::Corrupt(format!("truncated body at offset {} (+{n})", self.pos))
-        })?;
-        let s = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u32(&mut self) -> Result<u32, JournalError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> Result<u64, JournalError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-}
-
 /// Finds the newest *valid* journal in `dir`: candidates are scanned in
 /// descending round order, and a corrupt or truncated file is skipped —
 /// with a `journal_skipped` event when `log` is given — so one torn write
@@ -262,41 +180,8 @@ impl<'a> Cursor<'a> {
 pub fn latest_journal(
     dir: &Path,
     log: Option<&EventLog>,
-) -> Result<Option<(PathBuf, RoundJournal)>, JournalError> {
-    let entries = match std::fs::read_dir(dir) {
-        Ok(e) => e,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e.into()),
-    };
-    let mut candidates: Vec<PathBuf> = Vec::new();
-    for entry in entries {
-        let path = entry?.path();
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else { continue };
-        if name.starts_with("journal-")
-            && path.extension().and_then(|e| e.to_str()) == Some(JOURNAL_EXT)
-        {
-            candidates.push(path);
-        }
-    }
-    // Zero-padded round numbers sort lexicographically; newest first.
-    candidates.sort();
-    for path in candidates.into_iter().rev() {
-        match RoundJournal::read(&path) {
-            Ok(j) => return Ok(Some((path, j))),
-            Err(e) => {
-                if let Some(log) = log {
-                    log.emit(
-                        "journal_skipped",
-                        &[
-                            ("path", Value::from(path.to_string_lossy().into_owned())),
-                            ("error", Value::from(e.to_string())),
-                        ],
-                    );
-                }
-            }
-        }
-    }
-    Ok(None)
+) -> Result<Option<(PathBuf, RoundJournal)>, SealError> {
+    newest_valid(dir, "journal", JOURNAL_EXT, RoundJournal::read, log, "journal_skipped")
 }
 
 #[cfg(test)]
@@ -337,38 +222,6 @@ mod tests {
         assert_eq!(back, j);
         // No temp file left behind.
         assert!(!dir.join("journal-0000000003.mamdrj.tmp").exists());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn every_truncation_is_detected() {
-        let dir = tmp_dir("trunc");
-        let path = sample(1).write_to_dir(&dir).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        for keep in 0..bytes.len() {
-            std::fs::write(&path, &bytes[..keep]).unwrap();
-            assert!(
-                RoundJournal::read(&path).is_err(),
-                "truncation to {keep} of {} bytes must not parse",
-                bytes.len()
-            );
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn every_bit_flip_is_detected() {
-        let dir = tmp_dir("flip");
-        let path = sample(1).write_to_dir(&dir).unwrap();
-        let clean = std::fs::read(&path).unwrap();
-        for byte in 0..clean.len() {
-            let mut bad = clean.clone();
-            bad[byte] ^= 0x01;
-            std::fs::write(&path, &bad).unwrap();
-            // Either the checksum catches it, or (for flips inside the
-            // trailing digest itself) the digest no longer matches.
-            assert!(RoundJournal::read(&path).is_err(), "flip at byte {byte} must not parse");
-        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -4,10 +4,10 @@
 //! Every `publish_every` rounds the distributed trainer encodes a serving
 //! snapshot of the live (merged, sharded) store and hands the bytes to a
 //! [`ContinualPublisher`], which commits them to a publish directory with
-//! the same atomic discipline as checkpoints and journals: write a
-//! same-directory `*.tmp`, fsync, then rename — the rename is the sole
-//! commit point. A watcher (or the serve-side gate) therefore never
-//! observes a half-written snapshot, no matter where the publisher dies.
+//! the same commit as checkpoints and journals
+//! ([`mamdr_util::sealed::write_atomic`]): the rename is the sole commit
+//! point, so the serve-side gate never observes a half-written snapshot,
+//! no matter where the publisher dies.
 //!
 //! This module is deliberately format-agnostic: it moves *bytes*, so the
 //! serving-snapshot encoding stays in `mamdr-serve` (which depends on this
@@ -17,6 +17,7 @@
 //! downstream gate's rejection counters are exactly reproducible.
 
 use mamdr_obs::{Counter, MetricsRegistry};
+use mamdr_util::sealed::{staging_path, write_atomic};
 use std::fs::{self, File};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -24,64 +25,11 @@ use std::path::{Path, PathBuf};
 /// File extension of a committed serving snapshot.
 pub const SNAPSHOT_EXT: &str = "mamdrsv";
 
-/// The committed file name of round `round`'s snapshot
-/// (`snapshot-0000000012.mamdrsv`); zero-padded so lexicographic order is
-/// round order.
-pub fn snapshot_file_name(round: u64) -> String {
-    format!("snapshot-{round:010}.{SNAPSHOT_EXT}")
-}
-
-/// The committed path of round `round`'s snapshot under `dir`.
+/// The committed path of round `round`'s snapshot under `dir`
+/// (`snapshot-0000000012.mamdrsv`; zero-padded so lexicographic order is
+/// round order).
 pub fn snapshot_path(dir: &Path, round: u64) -> PathBuf {
-    dir.join(snapshot_file_name(round))
-}
-
-/// Parses the round index out of a file name produced by
-/// [`snapshot_file_name`]; `None` for anything else (including `*.tmp`
-/// staging files, which discovery must never consider).
-pub fn parse_snapshot_round(name: &str) -> Option<u64> {
-    let rest = name.strip_prefix("snapshot-")?;
-    let digits = rest.strip_suffix(&format!(".{SNAPSHOT_EXT}"))?;
-    if digits.len() != 10 || !digits.bytes().all(|b| b.is_ascii_digit()) {
-        return None;
-    }
-    digits.parse().ok()
-}
-
-/// The newest *committed* snapshot in `dir` by round index, or `None` when
-/// the directory holds none. Staging temp files and foreign names are
-/// skipped — a crashed mid-write publisher leaves nothing discoverable.
-pub fn latest_snapshot(dir: &Path) -> io::Result<Option<(u64, PathBuf)>> {
-    let mut best: Option<(u64, PathBuf)> = None;
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(round) = name.to_str().and_then(parse_snapshot_round) else { continue };
-        if best.as_ref().is_none_or(|(r, _)| round > *r) {
-            best = Some((round, entry.path()));
-        }
-    }
-    Ok(best)
-}
-
-/// Writes `bytes` to `path` through a same-directory `<name>.tmp` sibling
-/// with fsync-before-rename: after this returns, the committed file is
-/// durable and complete; before the rename, `path` is untouched.
-pub fn write_atomic_bytes(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let tmp = staging_path(path);
-    {
-        let mut f = File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    fs::rename(&tmp, path)
-}
-
-/// The staging sibling of `path`: its file name with `.tmp` appended.
-fn staging_path(path: &Path) -> PathBuf {
-    let mut name = path.file_name().map(|n| n.to_os_string()).unwrap_or_default();
-    name.push(".tmp");
-    path.with_file_name(name)
+    dir.join(format!("snapshot-{round:010}.{SNAPSHOT_EXT}"))
 }
 
 /// Scheduled publisher chaos, extracted from the driver's fault plan.
@@ -192,12 +140,12 @@ impl ContinualPublisher {
             let mut bad = bytes.to_vec();
             let mid = bad.len() / 2;
             bad[mid] ^= 0x40;
-            write_atomic_bytes(&path, &bad)?;
+            write_atomic(&path, &bad)?;
             self.metrics.corruptions_total.inc();
             self.metrics.commits_total.inc();
             return Ok(PublishOutcome::Committed(path));
         }
-        write_atomic_bytes(&path, bytes)?;
+        write_atomic(&path, bytes)?;
         self.metrics.commits_total.inc();
         Ok(PublishOutcome::Committed(path))
     }
@@ -212,29 +160,6 @@ mod tests {
         fs::remove_dir_all(&dir).ok();
         fs::create_dir_all(&dir).unwrap();
         dir
-    }
-
-    #[test]
-    fn file_names_roundtrip_and_reject_foreign_shapes() {
-        assert_eq!(snapshot_file_name(12), "snapshot-0000000012.mamdrsv");
-        assert_eq!(parse_snapshot_round("snapshot-0000000012.mamdrsv"), Some(12));
-        assert_eq!(parse_snapshot_round("snapshot-0000000012.mamdrsv.tmp"), None);
-        assert_eq!(parse_snapshot_round("snapshot-12.mamdrsv"), None);
-        assert_eq!(parse_snapshot_round("journal-0000000012.mamdrj"), None);
-        assert_eq!(parse_snapshot_round("snapshot-00000000xx.mamdrsv"), None);
-    }
-
-    #[test]
-    fn latest_snapshot_picks_max_round_and_ignores_staging_files() {
-        let dir = tmp_dir("latest");
-        fs::write(snapshot_path(&dir, 3), b"three").unwrap();
-        fs::write(snapshot_path(&dir, 11), b"eleven").unwrap();
-        fs::write(dir.join("snapshot-0000000099.mamdrsv.tmp"), b"torn").unwrap();
-        fs::write(dir.join("notes.txt"), b"ignored").unwrap();
-        let (round, path) = latest_snapshot(&dir).unwrap().unwrap();
-        assert_eq!(round, 11);
-        assert_eq!(fs::read(path).unwrap(), b"eleven");
-        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -261,13 +186,13 @@ mod tests {
         let out = p.commit(2, &[7u8; 100]).unwrap();
         let PublishOutcome::Killed(tmp) = out else { panic!("round 2 must be killed") };
         assert_eq!(fs::read(&tmp).unwrap().len(), 50, "half the bytes, then the crash");
+        assert_eq!(tmp, staging_path(&snapshot_path(&dir, 2)));
         assert!(!snapshot_path(&dir, 2).exists(), "committed name must never appear");
-        assert!(latest_snapshot(&dir).unwrap().is_none(), "nothing discoverable");
         assert_eq!(registry.counter("publish_kills_total").get(), 1);
         assert_eq!(registry.counter("publish_commits_total").get(), 0);
         // The "restarted" publisher commits the next round over the wreck.
         assert!(matches!(p.commit(3, &[8u8; 10]).unwrap(), PublishOutcome::Committed(_)));
-        assert_eq!(latest_snapshot(&dir).unwrap().unwrap().0, 3);
+        assert_eq!(fs::read(snapshot_path(&dir, 3)).unwrap(), [8u8; 10]);
         fs::remove_dir_all(&dir).ok();
     }
 

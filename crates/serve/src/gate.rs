@@ -573,8 +573,8 @@ mod tests {
         let dir = std::env::temp_dir().join("mamdr-gate-digest-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("cand.mamdrsv");
-        tiny_dense_snapshot(2).write_atomic(&path).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
+        let mut bytes = Vec::new();
+        tiny_dense_snapshot(2).write_to(&mut bytes).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;
         std::fs::write(&path, &bytes).unwrap();

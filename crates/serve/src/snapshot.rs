@@ -16,13 +16,12 @@
 //!   distributed trainer, loaded from a parameter server (or a checkpoint
 //!   via [`mamdr_ps::checkpoint`]).
 //!
-//! On-disk format (little-endian), extending `nn/persist.rs`'s conventions
-//! with a trailing FNV-1a digest so a flipped bit anywhere in the file is a
-//! load error:
+//! On disk a snapshot is a sealed file ([`mamdr_util::sealed`]), so a
+//! flipped bit anywhere in it is a load error:
 //!
 //! ```text
 //! magic "MAMDRSV1"
-//! payload (backend-tagged, see `encode_payload`)
+//! payload (backend-tagged, little-endian, see `encode_payload`)
 //! u64 fnv1a-64 digest of the payload
 //! ```
 
@@ -32,11 +31,11 @@ use mamdr_core::env::DomainParams;
 use mamdr_core::TrainedModel;
 use mamdr_data::Batch;
 use mamdr_models::{build_model, CtrModel, FeatureConfig, ModelConfig, ModelKind};
-use mamdr_nn::persist::PersistError;
 use mamdr_nn::ParamStore;
 use mamdr_ps::{model as ps_model, ParamKey, ParameterServer};
 use mamdr_tensor::Tensor;
-use mamdr_util::{read_f32_section, write_f32_section, Checksum};
+use mamdr_util::sealed::{self, Cursor, SealError};
+use mamdr_util::{write_f32_section, Checksum};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::path::Path;
@@ -66,11 +65,11 @@ impl From<std::io::Error> for SnapshotError {
     }
 }
 
-impl From<PersistError> for SnapshotError {
-    fn from(e: PersistError) -> Self {
+impl From<SealError> for SnapshotError {
+    fn from(e: SealError) -> Self {
         match e {
-            PersistError::Io(e) => SnapshotError::Io(e),
-            PersistError::Mismatch(m) => SnapshotError::Corrupt(m),
+            SealError::Io(e) => SnapshotError::Io(e),
+            SealError::Corrupt(m) => SnapshotError::Corrupt(m),
         }
     }
 }
@@ -187,8 +186,10 @@ impl ServingSnapshot {
     }
 
     /// Builds an embedding snapshot from the newest checkpoint in `dir`
-    /// (discovered via [`mamdr_ps::checkpoint::latest_checkpoint`]).
-    /// Returns `Ok(None)` when the directory holds no checkpoint.
+    /// whose digest verifies (discovered via
+    /// [`mamdr_ps::checkpoint::latest_checkpoint`], which skips corrupt
+    /// files). Returns `Ok(None)` when the directory holds no valid
+    /// checkpoint.
     pub fn from_ps_checkpoint_dir(
         version: u64,
         dir: &Path,
@@ -313,70 +314,22 @@ impl ServingSnapshot {
         }
     }
 
-    /// Serializes the snapshot (payload + trailing checksum).
+    /// Serializes the snapshot (magic, payload, trailing digest).
     pub fn write_to(&self, mut w: impl Write) -> Result<(), SnapshotError> {
-        let payload = self.encode_payload()?;
-        w.write_all(MAGIC)?;
-        w.write_all(&payload)?;
-        w.write_all(&Checksum::of(&payload).to_le_bytes())?;
+        w.write_all(&sealed::seal(MAGIC, |b| self.encode_payload(b))?)?;
         Ok(())
     }
 
-    /// Deserializes a snapshot, verifying the checksum before parsing.
+    /// Deserializes a snapshot, verifying the digest before parsing.
     pub fn read_from(mut r: impl Read) -> Result<Self, SnapshotError> {
-        let mut magic = [0u8; 8];
-        r.read_exact(&mut magic)?;
-        if &magic != MAGIC {
-            return Err(SnapshotError::Corrupt("bad magic".into()));
-        }
-        let mut rest = Vec::new();
-        r.read_to_end(&mut rest)?;
-        if rest.len() < 8 {
-            return Err(SnapshotError::Corrupt("missing checksum".into()));
-        }
-        let (payload, digest_bytes) = rest.split_at(rest.len() - 8);
-        let stored = u64::from_le_bytes(digest_bytes.try_into().expect("8 bytes"));
-        let computed = Checksum::of(payload);
-        if stored != computed {
-            return Err(SnapshotError::Corrupt(format!(
-                "checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
-            )));
-        }
-        Self::decode_payload(payload)
+        let mut bytes = Vec::new();
+        r.read_to_end(&mut bytes)?;
+        Self::decode_payload(sealed::unseal(MAGIC, &bytes)?)
     }
 
-    /// Writes the snapshot to a file (created/truncated).
-    pub fn save_to_path(&self, path: &Path) -> Result<(), SnapshotError> {
-        let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
-        self.write_to(&mut w)?;
-        w.flush()?;
-        Ok(())
-    }
-
-    /// Reads a snapshot file written by [`save_to_path`](Self::save_to_path).
+    /// Reads a snapshot file written by [`write_to`](Self::write_to).
     pub fn load_from_path(path: &Path) -> Result<Self, SnapshotError> {
-        Self::read_from(std::io::BufReader::new(std::fs::File::open(path)?))
-    }
-
-    /// Publisher-side atomic write: the snapshot is serialized into a
-    /// same-directory `<name>.tmp` sibling, fsynced, and renamed into
-    /// place. The rename is the sole commit point — a publisher crash at
-    /// any earlier byte leaves only the temp file, which no loader or
-    /// watcher ever opens, so a half-written snapshot can never be served.
-    pub fn write_atomic(&self, path: &Path) -> Result<(), SnapshotError> {
-        let tmp = tmp_sibling(path);
-        {
-            let file = std::fs::File::create(&tmp)?;
-            let mut w = std::io::BufWriter::new(file);
-            self.write_to(&mut w)?;
-            w.flush()?;
-            // Data must be durable *before* the rename: otherwise a crash
-            // after the rename but before writeback could expose a
-            // committed path with unsynced (torn) contents.
-            w.get_ref().sync_all()?;
-        }
-        std::fs::rename(&tmp, path)?;
-        Ok(())
+        Self::read_from(std::fs::File::open(path)?)
     }
 
     /// Verifies every served parameter is finite. This is the gate-side
@@ -465,8 +418,7 @@ impl ServingSnapshot {
         out
     }
 
-    fn encode_payload(&self) -> Result<Vec<u8>, SnapshotError> {
-        let mut out = Vec::new();
+    fn encode_payload(&self, out: &mut Vec<u8>) -> Result<(), SnapshotError> {
         match &self.backend {
             Backend::Dense { spec, trained, .. } => {
                 out.push(0u8);
@@ -499,7 +451,7 @@ impl ServingSnapshot {
                 };
                 out.push(mode);
                 out.extend_from_slice(&(trained.shared.len() as u64).to_le_bytes());
-                write_f32_section(&mut out, &trained.shared)?;
+                write_f32_section(&mut *out, &trained.shared)?;
                 if let Some(vecs) = per_domain {
                     for v in vecs {
                         if v.len() != trained.shared.len() {
@@ -507,7 +459,7 @@ impl ServingSnapshot {
                                 "per-domain vector length != shared length".into(),
                             ));
                         }
-                        write_f32_section(&mut out, v)?;
+                        write_f32_section(&mut *out, v)?;
                     }
                 }
             }
@@ -529,57 +481,57 @@ impl ServingSnapshot {
                     }
                     out.extend_from_slice(&key.table.to_le_bytes());
                     out.extend_from_slice(&key.row.to_le_bytes());
-                    write_f32_section(&mut out, value)?;
+                    write_f32_section(&mut *out, value)?;
                 }
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     fn decode_payload(payload: &[u8]) -> Result<Self, SnapshotError> {
-        let mut r = payload;
-        let tag = read_u8(&mut r)?;
-        let version = read_u64(&mut r)?;
+        let mut r = Cursor::new(payload);
+        let tag = r.u8()?;
+        let version = r.u64()?;
         match tag {
             0 => {
-                let kind = kind_from_id(read_u8(&mut r)?)?;
+                let kind = kind_from_id(r.u8()?)?;
                 let features = FeatureConfig {
-                    n_users: read_u32(&mut r)? as usize,
-                    n_items: read_u32(&mut r)? as usize,
-                    n_user_groups: read_u32(&mut r)? as usize,
-                    n_item_cats: read_u32(&mut r)? as usize,
-                    dense_dim: read_u32(&mut r)? as usize,
+                    n_users: r.u32()? as usize,
+                    n_items: r.u32()? as usize,
+                    n_user_groups: r.u32()? as usize,
+                    n_item_cats: r.u32()? as usize,
+                    dense_dim: r.u32()? as usize,
                 };
-                let embed_dim = read_u32(&mut r)? as usize;
-                let n_hidden = read_u32(&mut r)? as usize;
+                let embed_dim = r.u32()? as usize;
+                let n_hidden = r.u32()? as usize;
                 if n_hidden > 64 {
                     return Err(SnapshotError::Corrupt(format!("absurd hidden count {n_hidden}")));
                 }
                 let hidden = (0..n_hidden)
-                    .map(|_| read_u32(&mut r).map(|v| v as usize))
+                    .map(|_| r.u32().map(|v| v as usize))
                     .collect::<Result<Vec<_>, _>>()?;
-                let dropout = f32::from_le_bytes(take(&mut r, 4)?.try_into().expect("4 bytes"));
+                let dropout = r.f32()?;
                 let config = ModelConfig {
                     embed_dim,
                     hidden,
                     dropout,
-                    n_experts: read_u32(&mut r)? as usize,
-                    att_dim: read_u32(&mut r)? as usize,
-                    att_heads: read_u32(&mut r)? as usize,
-                    att_layers: read_u32(&mut r)? as usize,
+                    n_experts: r.u32()? as usize,
+                    att_dim: r.u32()? as usize,
+                    att_heads: r.u32()? as usize,
+                    att_layers: r.u32()? as usize,
                 };
-                let n_domains = read_u32(&mut r)? as usize;
-                let mode = read_u8(&mut r)?;
-                let flat_len = read_u64(&mut r)? as usize;
+                let n_domains = r.u32()? as usize;
+                let mode = r.u8()?;
+                let flat_len = r.u64()? as usize;
                 if flat_len.checked_mul(4).is_none_or(|b| b > payload.len() * (n_domains + 1)) {
                     return Err(SnapshotError::Corrupt(format!("absurd flat length {flat_len}")));
                 }
-                let shared = read_f32_section(&mut r, flat_len)?;
+                let shared = r.f32s(flat_len)?;
                 let domains = match mode {
                     0 => DomainParams::SharedOnly,
                     1 | 2 => {
                         let vecs = (0..n_domains)
-                            .map(|_| read_f32_section(&mut r, flat_len))
+                            .map(|_| r.f32s(flat_len))
                             .collect::<Result<Vec<_>, _>>()?;
                         if mode == 1 {
                             DomainParams::Deltas(vecs)
@@ -593,17 +545,17 @@ impl ServingSnapshot {
                 Self::from_trained(version, spec, TrainedModel { shared, domains })
             }
             1 => {
-                let dim = read_u32(&mut r)? as usize;
-                let n_domains = read_u32(&mut r)? as usize;
-                let n_rows = read_u64(&mut r)? as usize;
+                let dim = r.u32()? as usize;
+                let n_domains = r.u32()? as usize;
+                let n_rows = r.u64()? as usize;
                 if n_rows.checked_mul(dim.max(1) * 4).is_none_or(|b| b > payload.len()) {
                     return Err(SnapshotError::Corrupt(format!("absurd row count {n_rows}")));
                 }
                 let mut rows = HashMap::with_capacity(n_rows);
                 for _ in 0..n_rows {
-                    let table = read_u32(&mut r)?;
-                    let row = read_u32(&mut r)?;
-                    let value = read_f32_section(&mut r, dim)?;
+                    let table = r.u32()?;
+                    let row = r.u32()?;
+                    let value = r.f32s(dim)?;
                     rows.insert(ParamKey::new(table, row), value);
                 }
                 Ok(ServingSnapshot {
@@ -644,15 +596,6 @@ fn assemble_batch(features: &FeatureConfig, domain: usize, reqs: &[ScoreRequest]
     }
 }
 
-/// The same-directory temp path `write_atomic` stages into: the file name
-/// with `.tmp` appended (never a replaced extension, so distinct snapshot
-/// files can never share a staging path by extension collision).
-fn tmp_sibling(path: &Path) -> std::path::PathBuf {
-    let mut name = path.file_name().map(|n| n.to_os_string()).unwrap_or_default();
-    name.push(".tmp");
-    path.with_file_name(name)
-}
-
 fn kind_id(kind: ModelKind) -> u8 {
     ModelKind::ALL.iter().position(|&k| k == kind).expect("kind in registry") as u8
 }
@@ -662,27 +605,6 @@ fn kind_from_id(id: u8) -> Result<ModelKind, SnapshotError> {
         .get(id as usize)
         .copied()
         .ok_or_else(|| SnapshotError::Corrupt(format!("unknown model kind id {id}")))
-}
-
-fn take<'a>(r: &mut &'a [u8], n: usize) -> Result<&'a [u8], SnapshotError> {
-    if r.len() < n {
-        return Err(SnapshotError::Corrupt("payload truncated".into()));
-    }
-    let (head, tail) = r.split_at(n);
-    *r = tail;
-    Ok(head)
-}
-
-fn read_u8(r: &mut &[u8]) -> Result<u8, SnapshotError> {
-    Ok(take(r, 1)?[0])
-}
-
-fn read_u32(r: &mut &[u8]) -> Result<u32, SnapshotError> {
-    Ok(u32::from_le_bytes(take(r, 4)?.try_into().expect("4 bytes")))
-}
-
-fn read_u64(r: &mut &[u8]) -> Result<u64, SnapshotError> {
-    Ok(u64::from_le_bytes(take(r, 8)?.try_into().expect("8 bytes")))
 }
 
 #[cfg(test)]
@@ -817,8 +739,6 @@ mod tests {
         assert!(ServingSnapshot::read_from(short.as_slice()).is_err());
     }
 
-    /// A deliberately tiny embedding snapshot (~150 bytes on disk) so the
-    /// every-byte-offset property tests below stay O(n²)-cheap.
     fn tiny_embedding_snapshot(version: u64) -> ServingSnapshot {
         let ps = ParameterServer::new(1, 2);
         for t in 0..2u32 {
@@ -827,56 +747,6 @@ mod tests {
             }
         }
         ServingSnapshot::from_ps(version, &ps, 2)
-    }
-
-    #[test]
-    fn truncated_snapshot_is_rejected_at_every_byte_offset() {
-        // Property over ALL partial-write shapes: a publisher (or disk)
-        // that persists any strict prefix of the file must be rejected by
-        // the loader — there is no prefix length at which a torn write
-        // parses as a valid snapshot.
-        let snap = tiny_embedding_snapshot(5);
-        let mut buf = Vec::new();
-        snap.write_to(&mut buf).unwrap();
-        for len in 0..buf.len() {
-            assert!(
-                ServingSnapshot::read_from(&buf[..len]).is_err(),
-                "truncation to {len} of {} bytes went undetected",
-                buf.len()
-            );
-        }
-    }
-
-    #[test]
-    fn corrupted_snapshot_is_rejected_at_every_byte_offset() {
-        // Stronger form of `any_corrupted_byte_is_detected`: exhaustive
-        // over every offset, on a fixture small enough to afford it.
-        let snap = tiny_embedding_snapshot(6);
-        let mut buf = Vec::new();
-        snap.write_to(&mut buf).unwrap();
-        for pos in 0..buf.len() {
-            let mut bad = buf.clone();
-            bad[pos] ^= 0x40;
-            assert!(
-                ServingSnapshot::read_from(bad.as_slice()).is_err(),
-                "corruption at byte {pos} went undetected"
-            );
-        }
-    }
-
-    #[test]
-    fn write_atomic_commits_and_leaves_no_temp_file() {
-        let dir = std::env::temp_dir().join("mamdr-serve-write-atomic-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("snap.mamdrsv");
-        tiny_embedding_snapshot(1).write_atomic(&path).unwrap();
-        assert_eq!(ServingSnapshot::load_from_path(&path).unwrap().version(), 1);
-        assert!(!super::tmp_sibling(&path).exists(), "temp sibling must be renamed away");
-        // Overwriting an existing snapshot is atomic too: the old file
-        // stays valid until the rename lands the new one.
-        tiny_embedding_snapshot(2).write_atomic(&path).unwrap();
-        assert_eq!(ServingSnapshot::load_from_path(&path).unwrap().version(), 2);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

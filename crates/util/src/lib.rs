@@ -1,18 +1,21 @@
 //! # mamdr-util
 //!
-//! The one home of the workspace's binary-format primitives. Three on-disk
-//! or on-wire formats (`nn::persist` model snapshots, `serve::snapshot`
-//! serving artifacts, and the `mamdr-rpc` frame protocol) share the same
-//! integrity and payload conventions; keeping three copies of the checksum
-//! and f32-section logic was a bug farm, so they live here once and
-//! everyone delegates.
+//! The one home of the workspace's binary-format primitives. The on-disk
+//! formats (round journals, shard manifests, parameter checkpoints and
+//! serving snapshots) and the `mamdr-rpc` frame protocol share the same
+//! integrity and payload conventions, so they live here once and everyone
+//! delegates.
 //!
 //! * [`Checksum`] — incremental FNV-1a 64-bit digest.
 //! * [`write_f32_section`] / [`read_f32_section`] — little-endian f32
 //!   payload sections, moved as one block copy on little-endian targets
 //!   (no per-element conversion loop on the hot framing path).
+//! * [`sealed`] — the one file framing (magic, body, digest), the one
+//!   durable atomic commit, and the one newest-valid-file discovery scan.
 
 use std::io::{self, Read, Write};
+
+pub mod sealed;
 
 /// Incremental FNV-1a 64-bit hasher over serialized bytes.
 ///

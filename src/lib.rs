@@ -5,6 +5,8 @@
 //!
 //! This umbrella crate re-exports the whole workspace:
 //!
+//! * [`util`] — shared binary-format primitives: FNV-1a checksums, f32
+//!   sections, and the sealed-file framing, commit and discovery.
 //! * [`tensor`] — dense f32 tensor math.
 //! * [`autodiff`] — reverse-mode autodiff tape.
 //! * [`nn`] — parameter store, layers, optimizers.
@@ -54,6 +56,7 @@ pub use mamdr_ps as ps;
 pub use mamdr_rpc as rpc;
 pub use mamdr_serve as serve;
 pub use mamdr_tensor as tensor;
+pub use mamdr_util as util;
 
 /// The most common imports for experiments.
 pub mod prelude {

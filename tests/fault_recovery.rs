@@ -9,6 +9,7 @@ use mamdr::data::{DomainSpec, GeneratorConfig, MdrDataset};
 use mamdr::obs::MetricsRegistry;
 use mamdr::ps::{checkpoint, DistributedConfig, DistributedMamdr, GuardConfig};
 use mamdr::rpc::{DistributedTrainer, FaultPlan, LoopbackConfig, TrainerError};
+use mamdr::serve::ServingSnapshot;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -157,6 +158,60 @@ fn resume_falls_back_past_a_corrupt_journal() {
     assert_eq!(report.mean_auc.to_bits(), expected.mean_auc.to_bits());
     assert_eq!(snapshot_bytes(resumed.store(), full.dim), expected_bytes);
     resumed.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn resume_refuses_a_bit_flipped_checkpoint() {
+    let ds = dataset();
+    let dir = scratch_dir("flipped-checkpoint");
+    let crashed_cfg = LoopbackConfig {
+        checkpoint_dir: Some(dir.clone()),
+        checkpoint_every: 1,
+        ..LoopbackConfig::new(train_config(2, 2))
+    };
+    let mut crashed =
+        DistributedTrainer::new(&ds, crashed_cfg, Arc::new(MetricsRegistry::new())).unwrap();
+    crashed.train(&ds).unwrap();
+    crashed.shutdown();
+
+    // Flip one payload byte of the checkpoint the newest (valid) journal
+    // names. The file keeps its length, so only its digest can tell.
+    let flipped = dir.join("ckpt-0000000002.mamdrps");
+    let mut bytes = std::fs::read(&flipped).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x01;
+    std::fs::write(&flipped, &bytes).unwrap();
+
+    let resumed_cfg = LoopbackConfig {
+        checkpoint_dir: Some(dir.clone()),
+        checkpoint_every: 1,
+        resume: true,
+        ..LoopbackConfig::new(train_config(2, 4))
+    };
+    match DistributedTrainer::new(&ds, resumed_cfg, Arc::new(MetricsRegistry::new())) {
+        Err(TrainerError::Resume(msg)) => {
+            assert!(msg.contains("ckpt-0000000002.mamdrps"), "error must name the file: {msg}")
+        }
+        Err(other) => panic!("expected TrainerError::Resume, got {other}"),
+        Ok(mut resumed) => {
+            resumed.shutdown();
+            panic!("resume loaded a bit-flipped checkpoint");
+        }
+    }
+
+    // Serving discovers by digest: the flipped file is skipped and the
+    // next-newest valid checkpoint (round 1) is served instead.
+    let encode = |snap: &ServingSnapshot| {
+        let mut buf = Vec::new();
+        snap.write_to(&mut buf).unwrap();
+        buf
+    };
+    let served = ServingSnapshot::from_ps_checkpoint_dir(1, &dir, ds.n_domains())
+        .unwrap()
+        .expect("an older valid checkpoint remains");
+    let round1 = checkpoint::load_from_path(&dir.join("ckpt-0000000001.mamdrps"), 1).unwrap();
+    assert_eq!(encode(&served), encode(&ServingSnapshot::from_ps(1, &round1, ds.n_domains())));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

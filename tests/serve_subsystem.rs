@@ -107,7 +107,7 @@ fn snapshot_file_roundtrip_preserves_scores() {
     let dir = std::env::temp_dir().join(format!("mamdr-serve-e2e-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("model.mamdrsv");
-    snap.save_to_path(&path).unwrap();
+    snap.write_to(std::fs::File::create(&path).unwrap()).unwrap();
     let loaded = ServingSnapshot::load_from_path(&path).unwrap();
     assert_eq!(loaded.version(), 42);
     assert_eq!(bits(&loaded.score(0, &reqs)), bits(&before));

@@ -3,13 +3,15 @@
 //! every report field, fault-free and faulted; a shard hard-killed
 //! mid-schedule must be restarted from its last committed manifest files
 //! and the round replayed without divergence; and a sharded checkpoint
-//! must resume bit-identically at the same shard count *and* across a
-//! topology change (4 shards committed, 2 shards resumed).
+//! must resume bit-identically at the same shard count, past a round whose
+//! manifest never committed, *and* across a topology change (4 shards
+//! committed, 2 shards resumed).
 
 use mamdr::data::{DomainSpec, GeneratorConfig, MdrDataset};
 use mamdr::obs::MetricsRegistry;
 use mamdr::ps::{checkpoint, DistributedConfig, DistributedMamdr};
 use mamdr::rpc::{DistributedTrainer, FaultPlan, LoopbackConfig, RetryPolicy, TrainerError};
+use mamdr::util::sealed::staging_path;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -240,6 +242,66 @@ fn sharded_resume_is_bit_identical_at_the_same_shard_count() {
         snapshot_bytes(&resumed.merged_store(), full.dim),
         expected_bytes,
         "sharded resume diverged from the uninterrupted run"
+    );
+    resumed.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_crash_before_the_manifest_rename_resumes_from_the_previous_round() {
+    let ds = dataset();
+    let full = train_config(4, 2);
+    let dir = scratch_dir("manifest-crash");
+
+    let loopback = LoopbackConfig { shards: 2, ..LoopbackConfig::new(full) };
+    let mut uninterrupted =
+        DistributedTrainer::new(&ds, loopback, Arc::new(MetricsRegistry::new())).unwrap();
+    let expected = uninterrupted.train(&ds).unwrap();
+    let expected_bytes = snapshot_bytes(&uninterrupted.merged_store(), full.dim);
+    uninterrupted.shutdown();
+
+    // Three rounds commit in full; then the round-3 manifest is put back
+    // to its staging name: every round-3 shard file is committed, but the
+    // driver "died" between writing the manifest and renaming it.
+    let crashed_cfg = LoopbackConfig {
+        shards: 2,
+        checkpoint_dir: Some(dir.clone()),
+        checkpoint_every: 1,
+        ..LoopbackConfig::new(train_config(3, 2))
+    };
+    let mut crashed =
+        DistributedTrainer::new(&ds, crashed_cfg, Arc::new(MetricsRegistry::new())).unwrap();
+    crashed.train(&ds).unwrap();
+    crashed.shutdown();
+    let manifest = dir.join("manifest-0000000003.mamdrmf");
+    std::fs::rename(&manifest, staging_path(&manifest)).unwrap();
+    for s in 0..2 {
+        for file in ["ckpt-0000000003.mamdrps", "journal-0000000003.mamdrj"] {
+            assert!(dir.join(format!("shard-{s}/{file}")).exists(), "shard {s} {file}");
+        }
+    }
+
+    let resumed_cfg = LoopbackConfig {
+        shards: 2,
+        checkpoint_dir: Some(dir.clone()),
+        checkpoint_every: 1,
+        resume: true,
+        ..LoopbackConfig::new(full)
+    };
+    let mut resumed =
+        DistributedTrainer::new(&ds, resumed_cfg, Arc::new(MetricsRegistry::new())).unwrap();
+    assert_eq!(resumed.start_epoch(), 2, "uncommitted round 3 must not be discovered");
+    let report = resumed.train(&ds).unwrap();
+    assert_eq!(report.round_losses, expected.round_losses);
+    assert_eq!(report.mean_auc.to_bits(), expected.mean_auc.to_bits());
+    assert_eq!(report.pulls, expected.pulls);
+    assert_eq!(report.pushes, expected.pushes);
+    assert_eq!(report.total_bytes, expected.total_bytes);
+    assert_eq!(report.cache, expected.cache);
+    assert_eq!(
+        snapshot_bytes(&resumed.merged_store(), full.dim),
+        expected_bytes,
+        "resume past an uncommitted manifest diverged from the uninterrupted run"
     );
     resumed.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
