@@ -26,13 +26,13 @@ pub struct BenchArgs {
     /// e.g. `seed=7,drop_send=0.05,dup=0.05,disconnect=3`. `None` runs a
     /// perfect network.
     pub fault_plan: Option<String>,
-    /// Write a parameter checkpoint + round journal every this many
-    /// rounds (0 disables journaling). Requires `--checkpoint-dir` or
-    /// `--resume`.
+    /// Commit a round boundary (per-shard checkpoint + round journal, then
+    /// the manifest) every this many rounds (0 disables it). Requires
+    /// `--checkpoint-dir` or `--resume`.
     pub checkpoint_every: usize,
-    /// Directory the distributed binaries write checkpoints/journals to.
+    /// Directory the distributed binaries commit round boundaries to.
     pub checkpoint_dir: Option<String>,
-    /// Resume a distributed run from the newest valid journal in this
+    /// Resume a distributed run from the newest committed manifest in this
     /// directory (also used as the checkpoint destination).
     pub resume: Option<String>,
     /// Chrome `trace_event` JSON output path. Setting it attaches a span
@@ -51,7 +51,7 @@ pub struct BenchArgs {
     /// bit-identical at any depth.
     pub pipeline_depth: usize,
     /// Parameter-server shard count for the distributed binaries. `1`
-    /// (the default) runs the classic single-server loopback; higher
+    /// (the default) runs one loopback server, a 1-shard fleet; higher
     /// values split the key space across that many servers by consistent
     /// hash. Results are bit-identical at any shard count.
     pub shards: usize,
@@ -320,24 +320,21 @@ impl BenchArgs {
                         publication has nothing to swap)"
                 .into());
         }
-        // A multi-shard resume restores from a shard manifest, never from
-        // the legacy single-server journal — catch a directory that cannot
-        // possibly satisfy it before any training starts.
-        if self.shards > 1 {
-            if let Some(dir) = &self.resume {
-                let has_manifest = std::fs::read_dir(dir)
-                    .ok()
-                    .into_iter()
-                    .flatten()
-                    .flatten()
-                    .any(|e| e.path().extension().is_some_and(|x| x == "mamdrmf"));
-                if !has_manifest {
-                    return Err(format!(
-                        "--resume {dir} holds no shard manifest (*.mamdrmf); \
-                         a {}-shard resume needs a committed manifest",
-                        self.shards
-                    ));
-                }
+        // Every resume restores from a committed manifest — catch a
+        // directory that cannot possibly satisfy it before any training
+        // starts.
+        if let Some(dir) = &self.resume {
+            let has_manifest = std::fs::read_dir(dir)
+                .ok()
+                .into_iter()
+                .flatten()
+                .flatten()
+                .any(|e| e.path().extension().is_some_and(|x| x == "mamdrmf"));
+            if !has_manifest {
+                return Err(format!(
+                    "--resume {dir} holds no shard manifest (*.mamdrmf); \
+                     a resume needs a committed manifest"
+                ));
             }
         }
         Ok(())
@@ -484,13 +481,17 @@ mod tests {
         // Resume demands an existing directory up front.
         let err = parse(&["--resume", "/no/such/dir/ever"]).validate().unwrap_err();
         assert!(err.contains("--resume"), "{err}");
-        let dir = std::env::temp_dir();
+        let dir = std::env::temp_dir().join(format!("mamdr-args-resume-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("manifest-0000000001.mamdrmf"), b"x").unwrap();
         let a = parse(&["--resume", dir.to_str().unwrap()]);
         assert_eq!(a.resume.as_deref(), dir.to_str());
         assert!(a.validate().is_ok());
         // A resume directory doubles as the checkpoint destination.
         let a = parse(&["--checkpoint-every", "2", "--resume", dir.to_str().unwrap()]);
         assert!(a.validate().is_ok());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -571,18 +572,19 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let dir_s = dir.to_str().unwrap();
 
-        // A single-server resume from a journal-only directory is still
-        // allowed; the trainer itself validates the journal.
-        assert!(parse(&["--resume", dir_s]).validate().is_ok());
-
-        // A multi-shard resume from a directory with no manifest cannot
-        // work and is rejected up front...
-        let err = parse(&["--shards", "2", "--resume", dir_s]).validate().unwrap_err();
-        assert!(err.contains("manifest"), "{err}");
+        // A journal-only directory holds no commit point: a resume from it
+        // cannot work at any shard count and is rejected up front...
+        std::fs::write(dir.join("journal-0000000001.mamdrj"), b"x").unwrap();
+        for shards in ["1", "2"] {
+            let err = parse(&["--shards", shards, "--resume", dir_s]).validate().unwrap_err();
+            assert!(err.contains("manifest"), "{shards} shards: {err}");
+        }
 
         // ...and passes once a committed manifest exists.
         std::fs::write(dir.join("manifest-0000000001.mamdrmf"), b"x").unwrap();
-        assert!(parse(&["--shards", "2", "--resume", dir_s]).validate().is_ok());
+        for shards in ["1", "2"] {
+            assert!(parse(&["--shards", shards, "--resume", dir_s]).validate().is_ok());
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

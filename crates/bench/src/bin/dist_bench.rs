@@ -41,8 +41,10 @@
 //! invocation re-proves tracing neutrality through the bit-identity gate.
 //!
 //! Crash-resume drill: `--checkpoint-every N --checkpoint-dir <dir>`
-//! journals every N rounds; a later invocation with `--resume <dir>`
-//! restores the newest journal and runs only the remaining rounds. The
+//! commits every N rounds (per-shard checkpoints and journals under
+//! `<dir>/shard-<i>/`, committed by `<dir>/manifest-<round>.mamdrmf`); a
+//! later invocation with `--resume <dir>` restores the newest committed
+//! manifest — at any shard count — and runs only the remaining rounds. The
 //! resumed run must still match the uninterrupted in-process ground truth
 //! in every round loss and the final AUC bits (the push-count gates are
 //! skipped, since the RPC counters only cover the resumed segment).
@@ -265,10 +267,6 @@ fn main() {
     let remote_secs = t0.elapsed().as_secs_f64();
     load_stop.store(true, Ordering::Relaxed);
     let load_report = load_thread.map(|h| h.join().expect("load thread"));
-    // At one shard the driver's store IS the deployment; at N the report
-    // already sums every shard's traffic counters.
-    let store_pushes =
-        if args.shards == 1 { net_trainer.store().traffic().snapshot().1 } else { remote.pushes };
     // The merged final state, byte-comparable across shard counts: the
     // CI shard-smoke job diffs this file between a 1-shard and a killed-
     // and-recovered 4-shard run.
@@ -487,8 +485,10 @@ fn main() {
             failures
                 .push(format!("applied {} of {} expected outer updates", applied, local.pushes));
         }
-        if store_pushes != local.pushes {
-            failures.push(format!("store saw {store_pushes} pushes, expected {}", local.pushes));
+        // The report sums every shard store's traffic counters.
+        if remote.pushes != local.pushes {
+            failures
+                .push(format!("stores saw {} pushes, expected {}", remote.pushes, local.pushes));
         }
     }
     if !failures.is_empty() {

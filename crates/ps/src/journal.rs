@@ -6,27 +6,25 @@
 //! rescales every subsequent update), and the final [`crate::
 //! DistributedReport`] aggregates per-round losses, cache counters, and
 //! traffic from round zero. The journal closes that gap. Every
-//! `checkpoint_every` rounds the driver commits one sealed
-//! `journal-<round>.mamdrj` ([`mamdr_util::sealed`]) holding:
+//! `checkpoint_every` rounds each parameter-server shard writes one sealed
+//! `journal-<round>.mamdrj` ([`mamdr_util::sealed`]) next to its
+//! checkpoint, holding:
 //!
 //! * the number of completed rounds (the RNG cursor: every stream this
 //!   workspace uses is derived statelessly from `(seed, round, worker)`,
 //!   so the round index *is* the full RNG position),
-//! * the file name of the parameter checkpoint written just before the
-//!   journal (the journal is the commit point: a crash between the two
-//!   leaves an orphaned checkpoint, never a journal pointing at nothing),
+//! * the file name of the shard's parameter checkpoint,
 //! * the report aggregates so far (losses, cache hits/misses, staleness,
-//!   traffic, guard counters),
-//! * the complete Adagrad accumulator state,
+//!   guard counters, and this shard's traffic),
+//! * the shard's complete Adagrad accumulator state,
 //!
 //! all behind the sealed file's FNV-1a digest, so a torn write surfaces as
-//! [`SealError::Corrupt`] and recovery falls back to the next-newest
-//! journal instead of resuming from garbage.
+//! [`SealError::Corrupt`]. A journal is not a commit point on its own: the
+//! [`crate::ShardManifest`] that names it (with its digest) is, and
+//! discovery falls back past any manifest whose journal fails to verify.
 
 use crate::cache::CacheStats;
-use crate::checkpoint::newest_valid;
 use crate::kv::ParamKey;
-use mamdr_obs::EventLog;
 use mamdr_util::sealed::{self, Cursor, SealError};
 use std::path::{Path, PathBuf};
 
@@ -170,20 +168,6 @@ impl RoundJournal {
     }
 }
 
-/// Finds the newest *valid* journal in `dir`: candidates are scanned in
-/// descending round order, and a corrupt or truncated file is skipped —
-/// with a `journal_skipped` event when `log` is given — so one torn write
-/// degrades resume to the previous boundary instead of failing it.
-///
-/// Returns `Ok(None)` for an empty or absent directory, or when every
-/// candidate is corrupt.
-pub fn latest_journal(
-    dir: &Path,
-    log: Option<&EventLog>,
-) -> Result<Option<(PathBuf, RoundJournal)>, SealError> {
-    newest_valid(dir, "journal", JOURNAL_EXT, RoundJournal::read, log, "journal_skipped")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,37 +206,6 @@ mod tests {
         assert_eq!(back, j);
         // No temp file left behind.
         assert!(!dir.join("journal-0000000003.mamdrj.tmp").exists());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn latest_journal_skips_corrupt_and_falls_back() {
-        let dir = tmp_dir("latest");
-        assert!(latest_journal(&dir, None).unwrap().is_none());
-        sample(2).write_to_dir(&dir).unwrap();
-        let newest = sample(5).write_to_dir(&dir).unwrap();
-        // Newest wins when valid.
-        let (path, j) = latest_journal(&dir, None).unwrap().unwrap();
-        assert_eq!(path, newest);
-        assert_eq!(j.rounds_done, 5);
-        // Corrupt the newest: discovery falls back to round 2, and the
-        // skip is logged.
-        let mut bytes = std::fs::read(&newest).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xFF;
-        std::fs::write(&newest, &bytes).unwrap();
-        let log = EventLog::in_memory();
-        let (_, j) = latest_journal(&dir, Some(&log)).unwrap().unwrap();
-        assert_eq!(j.rounds_done, 2);
-        let lines = log.lines();
-        assert_eq!(lines.len(), 1);
-        assert!(lines[0].contains("journal_skipped"), "{}", lines[0]);
-        assert!(lines[0].contains("checksum mismatch"), "{}", lines[0]);
-        // Every journal corrupt: Ok(None), two skip events.
-        std::fs::write(dir.join("journal-0000000002.mamdrj"), b"garbage").unwrap();
-        let log = EventLog::in_memory();
-        assert!(latest_journal(&dir, Some(&log)).unwrap().is_none());
-        assert_eq!(log.lines().len(), 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

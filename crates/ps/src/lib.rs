@@ -47,7 +47,7 @@ pub mod trainer;
 
 pub use cache::{CacheStats, StalenessStats, WorkerCache};
 pub use guard::{outer_grad_norm, GuardConfig, GuardRail, GuardVerdict};
-pub use journal::{latest_journal, RoundJournal};
+pub use journal::RoundJournal;
 pub use kv::{ParamKey, ParameterServer, RowSource, TimedRowSource, TrafficStats, WIRE_BATCH_KEYS};
 pub use mamdr_util::sealed::SealError;
 pub use publish::{

@@ -14,14 +14,13 @@
 //! that is what makes an N→M rehash a deterministic merge-and-replay).
 //!
 //! Persistence is shard-parallel with a single commit point: each shard
-//! writes its own checkpoint and journal under `dir/shard-<i>/` using the
-//! unchanged single-server formats, and only after every shard file is
-//! durable does the driver commit the sealed `manifest-<round>.mamdrmf`
-//! ([`mamdr_util::sealed`]) naming each file and its digest.
-//! A crash before the manifest leaves orphaned shard files and the
-//! previous manifest wins; a torn manifest fails its checksum and
-//! discovery falls back — exactly the journal's crash contract, lifted one
-//! level up.
+//! writes its own checkpoint and journal under `dir/shard-<i>/`, and only
+//! after every shard file is durable does the driver commit the sealed
+//! `manifest-<round>.mamdrmf` ([`mamdr_util::sealed`]) naming each file
+//! and its digest. This is the commit protocol at every shard count, one
+//! server included. A crash before the manifest leaves orphaned shard
+//! files and the previous manifest wins; a torn manifest, or one naming a
+//! file that fails its digest, is skipped and discovery falls back.
 
 use crate::checkpoint::{self, newest_valid};
 use crate::journal::RoundJournal;

@@ -12,14 +12,16 @@
 //!
 //! All requests flow through one code path: [`WorkerClient::call`] for a
 //! single request, [`WorkerClient::call_many`] to pipeline a batch with a
-//! bounded in-flight window. The named wrappers (`pull`, `push`, …) are
-//! thin conveniences over [`Request`] values, so pipelining, retry,
-//! tracing, and fault injection live in exactly one place.
+//! bounded in-flight window. Rows always travel in batches — a single row
+//! is a 1-row `PullMany`/`PushMany` — and the named wrappers (`barrier`,
+//! `checkpoint`, `shutdown`) are thin conveniences over [`Request`] values,
+//! so pipelining, retry, tracing, and fault injection live in exactly one
+//! place.
 
 use crate::fault::{FaultDecision, FaultState};
 use crate::frame::{
     decode_error, BarrierReq, CheckpointReq, Frame, FrameError, OpCode, PullManyReq, PullManyResp,
-    PullReq, PullResp, PushManyReq, PushReq, PushResp, TraceContext, FLAG_VERSION_ONLY,
+    PushManyReq, PushResp, TraceContext, FLAG_VERSION_ONLY,
 };
 use mamdr_obs::{MetricsRegistry, SpanContext, SpanGuard, Tracer};
 use mamdr_ps::{ParamKey, RowSource, ShardMap, WIRE_BATCH_KEYS};
@@ -31,7 +33,7 @@ use std::collections::HashMap;
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Retry and deadline policy of a [`WorkerClient`].
 #[derive(Debug, Clone, Copy)]
@@ -70,16 +72,6 @@ impl Default for RetryPolicy {
 /// vocabulary behind [`WorkerClient::call`] / [`WorkerClient::call_many`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
-    /// Read one row (value + version).
-    Pull {
-        /// The row to read.
-        key: ParamKey,
-    },
-    /// Read one row's push version only (silent server-side).
-    PullVersion {
-        /// The row to probe.
-        key: ParamKey,
-    },
     /// Read many rows in one frame. Keys should be `(table, row)`-sorted.
     PullMany {
         /// The rows to read.
@@ -89,15 +81,6 @@ pub enum Request {
     PullVersions {
         /// The rows to probe.
         keys: Vec<ParamKey>,
-    },
-    /// Apply one outer-gradient row update.
-    Push {
-        /// The row to update.
-        key: ParamKey,
-        /// Server-side Adagrad learning rate.
-        lr: f32,
-        /// The outer gradient.
-        grad: Vec<f32>,
     },
     /// Apply many outer-gradient rows atomically under one sequence
     /// number. Keys should be `(table, row)`-sorted; `grads` holds the
@@ -129,9 +112,7 @@ pub enum Request {
 impl Request {
     fn opcode(&self) -> OpCode {
         match self {
-            Request::Pull { .. } | Request::PullVersion { .. } => OpCode::Pull,
             Request::PullMany { .. } | Request::PullVersions { .. } => OpCode::PullMany,
-            Request::Push { .. } => OpCode::Push,
             Request::PushMany { .. } => OpCode::PushMany,
             Request::Barrier { .. } => OpCode::BarrierSync,
             Request::Checkpoint { .. } => OpCode::Checkpoint,
@@ -141,19 +122,15 @@ impl Request {
 
     fn flags(&self) -> u8 {
         match self {
-            Request::PullVersion { .. } | Request::PullVersions { .. } => FLAG_VERSION_ONLY,
+            Request::PullVersions { .. } => FLAG_VERSION_ONLY,
             _ => 0,
         }
     }
 
     fn payload(&self, client_id: u32) -> Vec<u8> {
         match self {
-            Request::Pull { key } | Request::PullVersion { key } => PullReq { key: *key }.encode(),
             Request::PullMany { keys } | Request::PullVersions { keys } => {
                 PullManyReq { keys: keys.clone() }.encode()
-            }
-            Request::Push { key, lr, grad } => {
-                PushReq { client_id, key: *key, lr: *lr, grad: grad.clone() }.encode()
             }
             Request::PushMany { lr, keys, grads } => {
                 PushManyReq { client_id, lr: *lr, keys: keys.clone(), grads: grads.clone() }
@@ -171,16 +148,12 @@ impl Request {
         matches!(self, Request::Barrier { .. })
     }
 
-    /// Span name of the logical request. The `Many` variants share their
-    /// single-row siblings' names: a span consumer cares about pull vs
-    /// push, not about the frame-level batching.
+    /// Span name of the logical request: a span consumer cares about pull
+    /// vs push, not about the frame-level batching.
     fn span_name(&self) -> &'static str {
         match self {
-            Request::Pull { .. }
-            | Request::PullVersion { .. }
-            | Request::PullMany { .. }
-            | Request::PullVersions { .. } => "rpc.pull",
-            Request::Push { .. } | Request::PushMany { .. } => "rpc.push",
+            Request::PullMany { .. } | Request::PullVersions { .. } => "rpc.pull",
+            Request::PushMany { .. } => "rpc.push",
             Request::Barrier { .. } => "rpc.barrier",
             Request::Checkpoint { .. } => "rpc.checkpoint",
             Request::Shutdown => "rpc.shutdown",
@@ -192,9 +165,7 @@ impl Request {
     /// op-code — anything else is a protocol violation.
     fn decode_response(&self, resp: &Frame) -> Result<Response, RpcError> {
         let expect = match self.opcode() {
-            OpCode::Pull => OpCode::PullOk,
             OpCode::PullMany => OpCode::PullManyOk,
-            OpCode::Push => OpCode::PushOk,
             OpCode::PushMany => OpCode::PushManyOk,
             OpCode::BarrierSync => OpCode::BarrierOk,
             OpCode::Checkpoint => OpCode::CheckpointOk,
@@ -212,13 +183,6 @@ impl Request {
             ))));
         }
         Ok(match self {
-            Request::Pull { .. } => {
-                let r = PullResp::decode(&resp.payload)?;
-                Response::Pull { value: r.value, version: r.version }
-            }
-            Request::PullVersion { .. } => {
-                Response::PullVersion { version: PullResp::decode(&resp.payload)?.version }
-            }
             Request::PullMany { keys } => {
                 let r = PullManyResp::decode(&resp.payload)?;
                 if r.versions.len() != keys.len() {
@@ -242,9 +206,6 @@ impl Request {
                 }
                 Response::PullVersions { versions: r.versions }
             }
-            Request::Push { .. } => {
-                Response::Push { applied: PushResp::decode(&resp.payload)?.applied }
-            }
             Request::PushMany { .. } => {
                 Response::PushMany { applied: PushResp::decode(&resp.payload)?.applied }
             }
@@ -260,18 +221,6 @@ impl Request {
 /// A typed, validated server response — one variant per [`Request`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
-    /// Row value + version.
-    Pull {
-        /// Row values.
-        value: Vec<f32>,
-        /// Push version at read time.
-        version: u64,
-    },
-    /// Version-only probe result.
-    PullVersion {
-        /// Push version at read time.
-        version: u64,
-    },
     /// Batched rows: versions and concatenated values in request order.
     PullMany {
         /// Per-key versions.
@@ -283,11 +232,6 @@ pub enum Response {
     PullVersions {
         /// Per-key versions.
         versions: Vec<u64>,
-    },
-    /// Push acknowledged.
-    Push {
-        /// False when the server recognized a duplicate and skipped it.
-        applied: bool,
     },
     /// Batch push acknowledged (the whole batch applied or deduplicated).
     PushMany {
@@ -418,31 +362,6 @@ impl WorkerClient {
         self.client_id
     }
 
-    /// Pulls one row: `(value, version)`.
-    pub fn pull(&mut self, key: ParamKey) -> Result<(Vec<f32>, u64), RpcError> {
-        match self.call(Request::Pull { key })? {
-            Response::Pull { value, version } => Ok((value, version)),
-            other => unreachable!("Pull answered with {other:?}"),
-        }
-    }
-
-    /// Reads one row's push version without transferring the value.
-    pub fn pull_version(&mut self, key: ParamKey) -> Result<u64, RpcError> {
-        match self.call(Request::PullVersion { key })? {
-            Response::PullVersion { version } => Ok(version),
-            other => unreachable!("PullVersion answered with {other:?}"),
-        }
-    }
-
-    /// Pushes one outer gradient. Returns `false` when the server
-    /// recognized the push as a retry of an already-applied update.
-    pub fn push(&mut self, key: ParamKey, grad: &[f32], lr: f32) -> Result<bool, RpcError> {
-        match self.call(Request::Push { key, lr, grad: grad.to_vec() })? {
-            Response::Push { applied } => Ok(applied),
-            other => unreachable!("Push answered with {other:?}"),
-        }
-    }
-
     /// Blocks until `expected` distinct clients have arrived at `round`.
     pub fn barrier(&mut self, round: u64, expected: u32) -> Result<(), RpcError> {
         self.call(Request::Barrier { round, expected })?;
@@ -472,6 +391,24 @@ impl WorkerClient {
     /// multiple attempts and multiple server spans under one logical
     /// span.
     pub fn call(&mut self, req: Request) -> Result<Response, RpcError> {
+        // Clone the handle so the span guard borrows a local, leaving
+        // `self` free for `&mut` attempts.
+        let tracer = self.tracer.clone();
+        let (frame, logical) = self.prepare(tracer.as_deref(), &req);
+        let trace_ctx = logical.as_ref().map(|s| s.ctx());
+        let resp = self.finish_with_retries(&frame, req.is_barrier(), trace_ctx, None)?;
+        req.decode_response(&resp)
+    }
+
+    /// Turns one logical request into its frame: allocates the request's
+    /// sequence number and — when traced — opens its logical span and
+    /// embeds that span's context in the frame, so every retry re-sends
+    /// the same identity.
+    fn prepare<'t>(
+        &mut self,
+        tracer: Option<&'t Tracer>,
+        req: &Request,
+    ) -> (Frame, Option<SpanGuard<'t>>) {
         let seq = self.next_seq;
         self.next_seq += 1;
         let mut frame = Frame {
@@ -480,10 +417,7 @@ impl WorkerClient {
             seq,
             payload: req.payload(self.client_id),
         };
-        // Clone the handle so the span guard borrows a local, leaving
-        // `self` free for `&mut` attempts.
-        let tracer = self.tracer.clone();
-        let logical = tracer.as_deref().map(|t| {
+        let logical = tracer.map(|t| {
             let mut span = match self.trace_parent {
                 Some(p) => t.child(req.span_name(), p),
                 None => t.span(req.span_name()),
@@ -496,9 +430,7 @@ impl WorkerClient {
             frame = frame
                 .with_trace_context(TraceContext { trace_id: ctx.trace_id, span_id: ctx.span_id });
         }
-        let trace_ctx = logical.as_ref().map(|s| s.ctx());
-        let resp = self.finish_with_retries(&frame, req.is_barrier(), trace_ctx, None)?;
-        req.decode_response(&resp)
+        (frame, logical)
     }
 
     /// Pipelines a batch of requests: up to `pipeline_depth` frames are
@@ -523,36 +455,13 @@ impl WorkerClient {
         }
         let depth = self.policy.pipeline_depth.max(1);
         let tracer = self.tracer.clone();
-        // Prepare every frame up front: sequence numbers in request
-        // order, one logical span each, trace context embedded before
-        // the first send so retries re-use it.
+        // Prepare every frame up front, in request order, so retries
+        // re-use each frame's sequence number and trace context.
         let mut frames = Vec::with_capacity(reqs.len());
         let mut spans = Vec::with_capacity(reqs.len());
         let mut ctxs = Vec::with_capacity(reqs.len());
         for req in &reqs {
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            let mut frame = Frame {
-                opcode: req.opcode(),
-                flags: req.flags(),
-                seq,
-                payload: req.payload(self.client_id),
-            };
-            let logical = tracer.as_deref().map(|t| {
-                let mut span = match self.trace_parent {
-                    Some(p) => t.child(req.span_name(), p),
-                    None => t.span(req.span_name()),
-                };
-                span.attr("seq", seq);
-                span
-            });
-            if let Some(span) = &logical {
-                let ctx = span.ctx();
-                frame = frame.with_trace_context(TraceContext {
-                    trace_id: ctx.trace_id,
-                    span_id: ctx.span_id,
-                });
-            }
+            let (frame, logical) = self.prepare(tracer.as_deref(), req);
             ctxs.push(logical.as_ref().map(|s| s.ctx()));
             spans.push(logical);
             frames.push(frame);
@@ -688,15 +597,7 @@ impl WorkerClient {
         }
 
         let read_timeout = if barrier { self.policy.barrier_timeout } else { self.policy.timeout };
-        let mut buf = match tracer {
-            Some(t) => {
-                let t0 = Instant::now();
-                let buf = frame.to_bytes();
-                t.record_phase("wire.encode", t0.elapsed());
-                buf
-            }
-            None => frame.to_bytes(),
-        };
+        let mut buf = frame.to_bytes_traced(tracer);
         if decision.duplicate {
             // Two copies of the same frame back-to-back; the server must
             // apply at most one and answer both.
@@ -713,15 +614,8 @@ impl WorkerClient {
         loop {
             // Timed decode measures deserialization after the response's
             // first bytes arrive, not the wait for the server.
-            let decoded = match tracer {
-                Some(t) => Frame::decode_timed(&mut *self.stream.as_mut().expect("connected")).map(
-                    |(f, d)| {
-                        t.record_phase("wire.decode", d);
-                        f
-                    },
-                ),
-                None => Frame::decode(&mut *self.stream.as_mut().expect("connected")),
-            };
+            let decoded =
+                Frame::decode_traced(&mut *self.stream.as_mut().expect("connected"), tracer);
             let resp = match decoded {
                 Ok(f) => f,
                 Err(FrameError::Io(e))
@@ -835,15 +729,7 @@ impl WorkerClient {
                 let micros = self.fault.as_ref().expect("delay implies plan").delay_micros();
                 std::thread::sleep(Duration::from_micros(micros));
             }
-            let mut buf = match t {
-                Some(t) => {
-                    let t0 = Instant::now();
-                    let buf = frame.to_bytes();
-                    t.record_phase("wire.encode", t0.elapsed());
-                    buf
-                }
-                None => frame.to_bytes(),
-            };
+            let mut buf = frame.to_bytes_traced(t);
             if decision.duplicate {
                 self.metrics.counter("rpc_faults_duplicated_total").inc();
                 buf.extend_from_slice(&frame.to_bytes());
@@ -884,16 +770,7 @@ impl WorkerClient {
         // path.
         let mut drained_by_timeout = false;
         while !outstanding.is_empty() && self.stream.is_some() {
-            let decoded = match t {
-                Some(t) => Frame::decode_timed(&mut *self.stream.as_mut().expect("connected")).map(
-                    |(f, d)| {
-                        t.record_phase("wire.decode", d);
-                        f
-                    },
-                ),
-                None => Frame::decode(&mut *self.stream.as_mut().expect("connected")),
-            };
-            match decoded {
+            match Frame::decode_traced(&mut *self.stream.as_mut().expect("connected"), t) {
                 Ok(resp) => {
                     let Some(i) = outstanding.remove(&resp.seq) else {
                         self.metrics.counter("rpc_stale_responses_total").inc();
@@ -968,134 +845,6 @@ impl WorkerClient {
     }
 }
 
-/// A [`RowSource`] over a [`WorkerClient`], letting the generic cached
-/// training round ([`mamdr_ps::run_cached_round`]) read rows over the wire
-/// exactly as it reads the in-process server. Interior mutability because
-/// the socket client needs `&mut` for I/O while `RowSource` reads take
-/// `&self`; single-threaded per worker, so a `RefCell` suffices.
-///
-/// The `RowSource` trait is infallible (the in-process store cannot fail)
-/// but the wire can. Instead of panicking — which would abort the whole
-/// training process on one worker's bad connection — the source records
-/// the *first* RPC failure, stops touching the network, and serves
-/// zero-filled rows for the remainder of the round. The worker loop then
-/// finds the poisoned flag via [`RpcRowSource::take_error`] and reports a
-/// typed failure to the supervisor, which discards the round's output and
-/// re-runs the partition.
-pub struct RpcRowSource {
-    client: RefCell<WorkerClient>,
-    dim: usize,
-    error: RefCell<Option<RpcError>>,
-}
-
-impl RpcRowSource {
-    /// Wraps a client serving rows of width `dim` (the width of the
-    /// zero rows served after a failure).
-    pub fn new(client: WorkerClient, dim: usize) -> Self {
-        RpcRowSource { client: RefCell::new(client), dim, error: RefCell::new(None) }
-    }
-
-    /// Unwraps the client (e.g. to run the end-of-round barrier).
-    pub fn into_client(self) -> WorkerClient {
-        self.client.into_inner()
-    }
-
-    /// Takes the first RPC failure, if any read failed. Once set, every
-    /// subsequent read was served locally as zeros — the round's output is
-    /// garbage and must be discarded.
-    pub fn take_error(&self) -> Option<RpcError> {
-        self.error.borrow_mut().take()
-    }
-
-    fn poisoned(&self) -> bool {
-        self.error.borrow().is_some()
-    }
-
-    fn record(&self, e: RpcError) {
-        let mut slot = self.error.borrow_mut();
-        if slot.is_none() {
-            *slot = Some(e);
-        }
-    }
-}
-
-impl RowSource for RpcRowSource {
-    /// One batched read: the key set is split into [`WIRE_BATCH_KEYS`]
-    /// chunks — one `PullMany` frame each, pipelined on the connection —
-    /// so a round's whole cache-miss set costs a handful of round trips
-    /// instead of one per key.
-    fn pull_rows(&self, keys: &[ParamKey]) -> Vec<(Vec<f32>, u64)> {
-        if keys.is_empty() {
-            return Vec::new();
-        }
-        if self.poisoned() {
-            return keys.iter().map(|_| (vec![0.0; self.dim], 0)).collect();
-        }
-        let reqs: Vec<Request> = keys
-            .chunks(WIRE_BATCH_KEYS)
-            .map(|chunk| Request::PullMany { keys: chunk.to_vec() })
-            .collect();
-        match self.client.borrow_mut().call_many(reqs) {
-            Ok(resps) => {
-                let mut out = Vec::with_capacity(keys.len());
-                for (chunk, resp) in keys.chunks(WIRE_BATCH_KEYS).zip(resps) {
-                    let Response::PullMany { versions, values } = resp else {
-                        unreachable!("PullMany answered with a different variant")
-                    };
-                    if values.len() != chunk.len() * self.dim {
-                        self.record(RpcError::Frame(FrameError::Malformed(format!(
-                            "expected {} values for {} rows of width {}, got {}",
-                            chunk.len() * self.dim,
-                            chunk.len(),
-                            self.dim,
-                            values.len()
-                        ))));
-                        return keys.iter().map(|_| (vec![0.0; self.dim], 0)).collect();
-                    }
-                    for (row, version) in values.chunks(self.dim).zip(versions) {
-                        out.push((row.to_vec(), version));
-                    }
-                }
-                out
-            }
-            Err(e) => {
-                self.record(e);
-                keys.iter().map(|_| (vec![0.0; self.dim], 0)).collect()
-            }
-        }
-    }
-
-    /// One batched version probe per [`WIRE_BATCH_KEYS`] chunk, silent
-    /// server-side like the single-key probe it replaces.
-    fn versions_of(&self, keys: &[ParamKey]) -> Vec<u64> {
-        if keys.is_empty() {
-            return Vec::new();
-        }
-        if self.poisoned() {
-            return vec![0; keys.len()];
-        }
-        let reqs: Vec<Request> = keys
-            .chunks(WIRE_BATCH_KEYS)
-            .map(|chunk| Request::PullVersions { keys: chunk.to_vec() })
-            .collect();
-        match self.client.borrow_mut().call_many(reqs) {
-            Ok(resps) => resps
-                .into_iter()
-                .flat_map(|resp| {
-                    let Response::PullVersions { versions } = resp else {
-                        unreachable!("PullVersions answered with a different variant")
-                    };
-                    versions
-                })
-                .collect(),
-            Err(e) => {
-                self.record(e);
-                vec![0; keys.len()]
-            }
-        }
-    }
-}
-
 /// Builds one request per [`WIRE_BATCH_KEYS`] chunk of a shard's sub-batch
 /// (`idxs` indexes into the caller's key slice, input order preserved).
 fn shard_requests<F>(idxs: &[usize], keys: &[ParamKey], make_req: &F) -> Vec<Request>
@@ -1109,12 +858,11 @@ where
 
 /// Issues one pipelined [`WorkerClient::call_many`] per non-empty shard and
 /// returns the per-shard results (`None` for shards the batch never
-/// touches). A single live shard is called inline on the caller's thread —
-/// byte-for-byte the traffic a plain [`RpcRowSource`] would produce — while
-/// two or more live shards run concurrently on scoped threads, one per
-/// shard. Concurrency cannot perturb determinism: each client owns its
-/// socket, sequence space, and fault RNG, so nothing is shared across
-/// threads.
+/// touches). A single live shard — every batch of a 1-shard fleet — is
+/// called inline on the caller's thread, while two or more live shards run
+/// concurrently on scoped threads, one per shard. Concurrency cannot
+/// perturb determinism: each client owns its socket, sequence space, and
+/// fault RNG, so nothing is shared across threads.
 fn call_shards<F>(
     clients: &mut [WorkerClient],
     parts: &[Vec<usize>],
@@ -1156,13 +904,18 @@ where
 /// batched read is partitioned by the [`ShardMap`], the per-shard
 /// sub-batches are pulled concurrently (pipelined within each connection,
 /// parallel across shards), and the responses are re-assembled into the
-/// caller's key order. With one shard it degenerates to [`RpcRowSource`]
-/// exactly — same frames, same chunking, no extra threads.
+/// caller's key order. One shard is the plain single-server reader: every
+/// read is split into [`WIRE_BATCH_KEYS`] chunks, one `PullMany` frame
+/// each, pipelined on the connection, with no extra threads.
 ///
-/// Failure semantics mirror [`RpcRowSource`]: the first error (in shard
-/// order, so the record is deterministic) poisons the source, the whole
-/// read returns zeros, and the worker loop surfaces the failure via
-/// [`ShardedRowSource::take_error`].
+/// The `RowSource` trait is infallible (the in-process store cannot fail)
+/// but the wire can. Instead of panicking — which would abort the whole
+/// training process on one worker's bad connection — the first error (in
+/// shard order, so the record is deterministic) poisons the source: that
+/// read and every later one return zero-filled rows without touching the
+/// network, and the worker loop surfaces the failure via
+/// [`ShardedRowSource::take_error`], so the supervisor discards the
+/// round's output and re-runs the partition.
 pub struct ShardedRowSource {
     clients: RefCell<Vec<WorkerClient>>,
     map: ShardMap,
@@ -1183,8 +936,9 @@ impl ShardedRowSource {
         self.clients.into_inner()
     }
 
-    /// Takes the first RPC failure, if any read failed — same poisoned
-    /// contract as [`RpcRowSource::take_error`].
+    /// Takes the first RPC failure, if any read failed. Once set, every
+    /// subsequent read was served locally as zeros — the round's output is
+    /// garbage and must be discarded.
     pub fn take_error(&self) -> Option<RpcError> {
         self.error.borrow_mut().take()
     }

@@ -28,8 +28,10 @@
 //!   discards stale responses after a retry) and makes pushes idempotent:
 //!   the server applies each `(client, seq)` push at most once.
 
+use mamdr_obs::Tracer;
 use mamdr_ps::ParamKey;
-use mamdr_util::{read_f32_into, Checksum};
+use mamdr_util::sealed::{Cursor, SealError};
+use mamdr_util::Checksum;
 use std::io::{Read, Write};
 
 /// The 9-byte frame magic.
@@ -39,8 +41,9 @@ pub const MAGIC: &[u8; 9] = b"MAMDRRPC1";
 /// change; a server rejects frames from a different version with a typed
 /// error instead of misparsing them. Version 2 added the vectorized
 /// `PullMany`/`PushMany` family (multi-row payloads, one frame per key
-/// batch instead of one per key).
-pub const WIRE_VERSION: u8 = 2;
+/// batch instead of one per key); version 3 retired the single-row
+/// `Pull`/`Push` op-codes (bytes 1–4), so one row travels as a 1-row batch.
+pub const WIRE_VERSION: u8 = 3;
 
 /// Hard cap on a frame's declared payload length (16 MiB). Validated
 /// before allocation: a malicious or corrupt length field cannot force an
@@ -51,8 +54,8 @@ pub const MAX_PAYLOAD: u32 = 16 << 20;
 /// 1 flags + 8 seq + 4 len + 8 crc.
 pub const FRAME_OVERHEAD: usize = 32;
 
-/// Pull flag: respond with the row's version only (no value section, no
-/// traffic accounting server-side) — used by staleness probes.
+/// `PullMany` flag: respond with the rows' versions only (no value
+/// section, no traffic accounting server-side) — used by staleness probes.
 pub const FLAG_VERSION_ONLY: u8 = 0b0000_0001;
 
 /// Trace flag: the payload is prefixed by a [`TraceContext`] extension
@@ -96,37 +99,23 @@ impl TraceContext {
 
     /// Decodes the extension, rejecting unknown extension versions.
     pub fn decode(bytes: &[u8]) -> Result<Self, FrameError> {
-        if bytes.len() != TRACE_EXT_LEN {
-            return Err(FrameError::Malformed(format!(
-                "trace extension needs {TRACE_EXT_LEN} bytes, has {}",
-                bytes.len()
-            )));
-        }
-        if bytes[0] != TRACE_EXT_VERSION {
-            return Err(FrameError::Malformed(format!(
-                "unknown trace extension version {}",
-                bytes[0]
-            )));
-        }
-        Ok(TraceContext {
-            trace_id: u64::from_le_bytes(bytes[1..9].try_into().expect("8 bytes")),
-            span_id: u64::from_le_bytes(bytes[9..17].try_into().expect("8 bytes")),
+        decode_all(bytes, |c| {
+            let version = c.u8()?;
+            if version != TRACE_EXT_VERSION {
+                return Err(FrameError::Malformed(format!(
+                    "unknown trace extension version {version}"
+                )));
+            }
+            Ok(TraceContext { trace_id: c.u64()?, span_id: c.u64()? })
         })
     }
 }
 
-/// Operation codes of wire version 2.
+/// Operation codes of wire version 3. Bytes 1–4 belonged to the retired
+/// single-row `Pull`/`Push` pair and decode as [`FrameError::UnknownOpcode`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum OpCode {
-    /// Worker → PS: read one row (optionally version-only).
-    Pull = 1,
-    /// PS → worker: row version + value.
-    PullOk = 2,
-    /// Worker → PS: apply one outer-gradient push (idempotent by seq).
-    Push = 3,
-    /// PS → worker: push acknowledged (applied or deduplicated).
-    PushOk = 4,
     /// Worker → PS: block until every worker reached this round boundary.
     BarrierSync = 5,
     /// PS → worker: barrier released.
@@ -158,11 +147,7 @@ impl OpCode {
     /// variant (`as u8`), decode scans this table — adding a variant here
     /// makes it decodable, and a variant missing from the table fails the
     /// exhaustive roundtrip test, so the two directions cannot drift.
-    pub const ALL: [OpCode; 15] = [
-        OpCode::Pull,
-        OpCode::PullOk,
-        OpCode::Push,
-        OpCode::PushOk,
+    pub const ALL: [OpCode; 11] = [
         OpCode::BarrierSync,
         OpCode::BarrierOk,
         OpCode::Checkpoint,
@@ -339,6 +324,29 @@ impl Frame {
         Ok((frame, start.elapsed()))
     }
 
+    /// Encodes into a fresh buffer, recording the encode time as the
+    /// `wire.encode` phase when a tracer is attached — the bytes are the
+    /// same either way.
+    pub fn to_bytes_traced(&self, tracer: Option<&Tracer>) -> Vec<u8> {
+        let t0 = std::time::Instant::now();
+        let buf = self.to_bytes();
+        if let Some(t) = tracer {
+            t.record_phase("wire.encode", t0.elapsed());
+        }
+        buf
+    }
+
+    /// [`Frame::decode_timed`], recording the measured time as the
+    /// `wire.decode` phase when a tracer is attached. Both connection
+    /// sides read every frame through this one call.
+    pub fn decode_traced(r: impl Read, tracer: Option<&Tracer>) -> Result<Self, FrameError> {
+        let (frame, took) = Self::decode_timed(r)?;
+        if let Some(t) = tracer {
+            t.record_phase("wire.decode", took);
+        }
+        Ok(frame)
+    }
+
     fn read_magic(r: &mut impl Read) -> Result<(), FrameError> {
         let mut magic = [0u8; 9];
         r.read_exact(&mut magic)?;
@@ -381,52 +389,51 @@ impl Frame {
 }
 
 // ---------------------------------------------------------------------------
-// Payload codecs. Cursor-style readers over `&[u8]`, mirroring the style of
-// `serve::snapshot`: every read is bounds-checked and returns a typed error.
+// Payload codecs. Every decoder reads through the workspace's one
+// bounds-checked byte reader, `mamdr_util::sealed::Cursor`, and must consume
+// the payload exactly.
 // ---------------------------------------------------------------------------
 
-fn take<'a>(r: &mut &'a [u8], n: usize) -> Result<&'a [u8], FrameError> {
-    if r.len() < n {
+/// The one place a reader error becomes a wire error: a payload too short
+/// for its op-code, or one with bytes left over, is malformed.
+impl From<SealError> for FrameError {
+    fn from(e: SealError) -> Self {
+        FrameError::Malformed(match e {
+            SealError::Corrupt(m) => m,
+            SealError::Io(e) => e.to_string(),
+        })
+    }
+}
+
+/// Decodes a whole payload with `read`, rejecting trailing bytes.
+fn decode_all<T>(
+    payload: &[u8],
+    read: impl FnOnce(&mut Cursor<'_>) -> Result<T, FrameError>,
+) -> Result<T, FrameError> {
+    let mut cur = Cursor::new(payload);
+    let value = read(&mut cur)?;
+    cur.finish()?;
+    Ok(value)
+}
+
+/// Reads a `u32` count of `width`-byte items and checks it against the
+/// remaining payload, so a forged count fails before anything is
+/// allocated for it.
+fn read_count(cur: &mut Cursor<'_>, width: usize, what: &str) -> Result<usize, FrameError> {
+    let n = cur.u32()? as usize;
+    if n.saturating_mul(width) > cur.remaining() {
         return Err(FrameError::Malformed(format!(
-            "payload needs {n} more bytes, has {}",
-            r.len()
+            "{n} {what} declared, {} bytes left",
+            cur.remaining()
         )));
     }
-    let (head, tail) = r.split_at(n);
-    *r = tail;
-    Ok(head)
+    Ok(n)
 }
 
-fn read_u32(r: &mut &[u8]) -> Result<u32, FrameError> {
-    Ok(u32::from_le_bytes(take(r, 4)?.try_into().expect("4 bytes")))
-}
-
-fn read_u64(r: &mut &[u8]) -> Result<u64, FrameError> {
-    Ok(u64::from_le_bytes(take(r, 8)?.try_into().expect("8 bytes")))
-}
-
-fn read_f32(r: &mut &[u8]) -> Result<f32, FrameError> {
-    Ok(f32::from_le_bytes(take(r, 4)?.try_into().expect("4 bytes")))
-}
-
-fn expect_empty(r: &[u8]) -> Result<(), FrameError> {
-    if r.is_empty() {
-        Ok(())
-    } else {
-        Err(FrameError::Malformed(format!("{} trailing bytes", r.len())))
-    }
-}
-
-/// Reads a `u32`-counted f32 section, bounds-checking the count against the
-/// remaining payload before allocating.
-fn read_counted_f32s(r: &mut &[u8]) -> Result<Vec<f32>, FrameError> {
-    let n = read_u32(r)? as usize;
-    if n * 4 > r.len() {
-        return Err(FrameError::Malformed(format!("{n} f32s declared, {} bytes left", r.len())));
-    }
-    let mut values = vec![0.0f32; n];
-    read_f32_into(take(r, n * 4)?, &mut values).expect("length checked");
-    Ok(values)
+/// Reads a `u32`-counted f32 section.
+fn read_counted_f32s(cur: &mut Cursor<'_>) -> Result<Vec<f32>, FrameError> {
+    let n = read_count(cur, 4, "f32s")?;
+    Ok(cur.f32s(n)?)
 }
 
 fn write_counted_f32s(out: &mut Vec<u8>, values: &[f32]) {
@@ -434,96 +441,7 @@ fn write_counted_f32s(out: &mut Vec<u8>, values: &[f32]) {
     mamdr_util::write_f32_section(&mut *out, values).expect("Vec write is infallible");
 }
 
-/// `Pull` request payload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PullReq {
-    /// The row to read.
-    pub key: ParamKey,
-}
-
-impl PullReq {
-    /// Encodes into a payload buffer.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8);
-        out.extend_from_slice(&self.key.table.to_le_bytes());
-        out.extend_from_slice(&self.key.row.to_le_bytes());
-        out
-    }
-
-    /// Decodes from a payload buffer.
-    pub fn decode(mut r: &[u8]) -> Result<Self, FrameError> {
-        let table = read_u32(&mut r)?;
-        let row = read_u32(&mut r)?;
-        expect_empty(r)?;
-        Ok(PullReq { key: ParamKey::new(table, row) })
-    }
-}
-
-/// `PullOk` response payload.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PullResp {
-    /// The row's push version at read time.
-    pub version: u64,
-    /// Row values (empty for a version-only probe).
-    pub value: Vec<f32>,
-}
-
-impl PullResp {
-    /// Encodes into a payload buffer.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(12 + 4 * self.value.len());
-        out.extend_from_slice(&self.version.to_le_bytes());
-        write_counted_f32s(&mut out, &self.value);
-        out
-    }
-
-    /// Decodes from a payload buffer.
-    pub fn decode(mut r: &[u8]) -> Result<Self, FrameError> {
-        let version = read_u64(&mut r)?;
-        let value = read_counted_f32s(&mut r)?;
-        expect_empty(r)?;
-        Ok(PullResp { version, value })
-    }
-}
-
-/// `Push` request payload: one outer-gradient row update.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PushReq {
-    /// The pushing worker (dedup namespace for `seq`).
-    pub client_id: u32,
-    /// The row to update.
-    pub key: ParamKey,
-    /// Server-side Adagrad learning rate.
-    pub lr: f32,
-    /// The outer gradient (Θ̃ − Θ for this row).
-    pub grad: Vec<f32>,
-}
-
-impl PushReq {
-    /// Encodes into a payload buffer.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(20 + 4 * self.grad.len());
-        out.extend_from_slice(&self.client_id.to_le_bytes());
-        out.extend_from_slice(&self.key.table.to_le_bytes());
-        out.extend_from_slice(&self.key.row.to_le_bytes());
-        out.extend_from_slice(&self.lr.to_le_bytes());
-        write_counted_f32s(&mut out, &self.grad);
-        out
-    }
-
-    /// Decodes from a payload buffer.
-    pub fn decode(mut r: &[u8]) -> Result<Self, FrameError> {
-        let client_id = read_u32(&mut r)?;
-        let table = read_u32(&mut r)?;
-        let row = read_u32(&mut r)?;
-        let lr = read_f32(&mut r)?;
-        let grad = read_counted_f32s(&mut r)?;
-        expect_empty(r)?;
-        Ok(PushReq { client_id, key: ParamKey::new(table, row), lr, grad })
-    }
-}
-
-/// `PushOk` response payload.
+/// `PushManyOk` response payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PushResp {
     /// False when the push was recognized as a duplicate and skipped —
@@ -538,10 +456,8 @@ impl PushResp {
     }
 
     /// Decodes from a payload buffer.
-    pub fn decode(mut r: &[u8]) -> Result<Self, FrameError> {
-        let b = take(&mut r, 1)?[0];
-        expect_empty(r)?;
-        Ok(PushResp { applied: b != 0 })
+    pub fn decode(r: &[u8]) -> Result<Self, FrameError> {
+        decode_all(r, |c| Ok(PushResp { applied: c.u8()? != 0 }))
     }
 }
 
@@ -568,12 +484,10 @@ impl BarrierReq {
     }
 
     /// Decodes from a payload buffer.
-    pub fn decode(mut r: &[u8]) -> Result<Self, FrameError> {
-        let client_id = read_u32(&mut r)?;
-        let round = read_u64(&mut r)?;
-        let expected = read_u32(&mut r)?;
-        expect_empty(r)?;
-        Ok(BarrierReq { client_id, round, expected })
+    pub fn decode(r: &[u8]) -> Result<Self, FrameError> {
+        decode_all(r, |c| {
+            Ok(BarrierReq { client_id: c.u32()?, round: c.u64()?, expected: c.u32()? })
+        })
     }
 }
 
@@ -591,25 +505,17 @@ impl CheckpointReq {
     }
 
     /// Decodes from a payload buffer.
-    pub fn decode(mut r: &[u8]) -> Result<Self, FrameError> {
-        let round = read_u64(&mut r)?;
-        expect_empty(r)?;
-        Ok(CheckpointReq { round })
+    pub fn decode(r: &[u8]) -> Result<Self, FrameError> {
+        decode_all(r, |c| Ok(CheckpointReq { round: c.u64()? }))
     }
 }
 
-/// Reads a `u32`-counted key section (table/row pairs), bounds-checking
-/// the count against the remaining payload before allocating.
-fn read_counted_keys(r: &mut &[u8]) -> Result<Vec<ParamKey>, FrameError> {
-    let n = read_u32(r)? as usize;
-    if n.saturating_mul(8) > r.len() {
-        return Err(FrameError::Malformed(format!("{n} keys declared, {} bytes left", r.len())));
-    }
+/// Reads a `u32`-counted key section (table/row pairs).
+fn read_counted_keys(cur: &mut Cursor<'_>) -> Result<Vec<ParamKey>, FrameError> {
+    let n = read_count(cur, 8, "keys")?;
     let mut keys = Vec::with_capacity(n);
     for _ in 0..n {
-        let table = read_u32(r)?;
-        let row = read_u32(r)?;
-        keys.push(ParamKey::new(table, row));
+        keys.push(ParamKey::new(cur.u32()?, cur.u32()?));
     }
     Ok(keys)
 }
@@ -641,10 +547,8 @@ impl PullManyReq {
     }
 
     /// Decodes from a payload buffer.
-    pub fn decode(mut r: &[u8]) -> Result<Self, FrameError> {
-        let keys = read_counted_keys(&mut r)?;
-        expect_empty(r)?;
-        Ok(PullManyReq { keys })
+    pub fn decode(r: &[u8]) -> Result<Self, FrameError> {
+        decode_all(r, |c| Ok(PullManyReq { keys: read_counted_keys(c)? }))
     }
 }
 
@@ -675,22 +579,18 @@ impl PullManyResp {
 
     /// Decodes from a payload buffer, rejecting value sections that are
     /// not an exact multiple of the key count.
-    pub fn decode(mut r: &[u8]) -> Result<Self, FrameError> {
-        let n = read_u32(&mut r)? as usize;
-        if n.saturating_mul(8) > r.len() {
-            return Err(FrameError::Malformed(format!(
-                "{n} versions declared, {} bytes left",
-                r.len()
-            )));
-        }
-        let mut versions = Vec::with_capacity(n);
-        for _ in 0..n {
-            versions.push(read_u64(&mut r)?);
-        }
-        let values = read_counted_f32s(&mut r)?;
-        expect_empty(r)?;
+    pub fn decode(r: &[u8]) -> Result<Self, FrameError> {
+        let (versions, values) = decode_all(r, |c| {
+            let n = read_count(c, 8, "versions")?;
+            let mut versions = Vec::with_capacity(n);
+            for _ in 0..n {
+                versions.push(c.u64()?);
+            }
+            Ok((versions, read_counted_f32s(c)?))
+        })?;
         // Empty values with rows present is the version-only probe shape;
         // otherwise the value section must divide evenly across the rows.
+        let n = versions.len();
         if values.is_empty() || (n > 0 && values.len() % n == 0) {
             return Ok(PullManyResp { versions, values });
         }
@@ -700,8 +600,7 @@ impl PullManyResp {
 
 /// `PushMany` request payload: a key-sorted batch of outer-gradient row
 /// updates applied atomically under one `(client, seq)` — a retry of the
-/// frame dedups the whole batch, so pipelined pushes keep the
-/// exactly-once guarantee of the single-row protocol.
+/// frame dedups the whole batch, so pipelined pushes are exactly-once.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PushManyReq {
     /// The pushing worker (dedup namespace for `seq`).
@@ -728,20 +627,24 @@ impl PushManyReq {
 
     /// Decodes from a payload buffer, rejecting gradient sections that are
     /// not an exact multiple of the key count.
-    pub fn decode(mut r: &[u8]) -> Result<Self, FrameError> {
-        let client_id = read_u32(&mut r)?;
-        let lr = read_f32(&mut r)?;
-        let keys = read_counted_keys(&mut r)?;
-        let grads = read_counted_f32s(&mut r)?;
-        expect_empty(r)?;
-        if keys.is_empty() || grads.is_empty() || grads.len() % keys.len() != 0 {
+    pub fn decode(r: &[u8]) -> Result<Self, FrameError> {
+        let push = decode_all(r, |c| {
+            Ok(PushManyReq {
+                client_id: c.u32()?,
+                lr: c.f32()?,
+                keys: read_counted_keys(c)?,
+                grads: read_counted_f32s(c)?,
+            })
+        })?;
+        if push.keys.is_empty() || push.grads.is_empty() || push.grads.len() % push.keys.len() != 0
+        {
             return Err(FrameError::Malformed(format!(
                 "{} gradient values do not divide across {} rows",
-                grads.len(),
-                keys.len()
+                push.grads.len(),
+                push.keys.len()
             )));
         }
-        Ok(PushManyReq { client_id, lr, keys, grads })
+        Ok(push)
     }
 }
 
@@ -765,7 +668,7 @@ mod tests {
 
     #[test]
     fn frame_roundtrips_bit_exactly() {
-        let frame = Frame::new(OpCode::Push, 42, vec![1, 2, 3, 255, 0]);
+        let frame = Frame::new(OpCode::PushMany, 42, vec![1, 2, 3, 255, 0]);
         assert_eq!(roundtrip(&frame), frame);
         let empty = Frame { opcode: OpCode::Shutdown, flags: 3, seq: u64::MAX, payload: vec![] };
         assert_eq!(roundtrip(&empty), empty);
@@ -773,8 +676,8 @@ mod tests {
 
     #[test]
     fn every_flipped_bit_is_detected() {
-        let buf =
-            Frame::new(OpCode::Pull, 7, PullReq { key: ParamKey::new(1, 9) }.encode()).to_bytes();
+        let payload = PullManyReq { keys: vec![ParamKey::new(1, 9)] }.encode();
+        let buf = Frame::new(OpCode::PullMany, 7, payload).to_bytes();
         for pos in 0..buf.len() {
             let mut bad = buf.clone();
             bad[pos] ^= 0x10;
@@ -784,7 +687,7 @@ mod tests {
 
     #[test]
     fn truncation_is_an_io_error() {
-        let buf = Frame::new(OpCode::Pull, 1, vec![0u8; 16]).to_bytes();
+        let buf = Frame::new(OpCode::PullMany, 1, vec![0u8; 16]).to_bytes();
         for keep in 0..buf.len() {
             let err = Frame::decode(&buf[..keep]).unwrap_err();
             assert!(
@@ -801,7 +704,7 @@ mod tests {
         buf.extend_from_slice(MAGIC);
         let mut head = [0u8; 15];
         head[0] = WIRE_VERSION;
-        head[1] = OpCode::Pull as u8;
+        head[1] = OpCode::PullMany as u8;
         head[11..15].copy_from_slice(&u32::MAX.to_le_bytes());
         buf.extend_from_slice(&head);
         assert!(matches!(Frame::decode(buf.as_slice()), Err(FrameError::TooLarge(_))));
@@ -810,33 +713,35 @@ mod tests {
     #[test]
     fn wrong_version_and_opcode_are_typed_errors() {
         // A frame from the retired v1 protocol is rejected up front.
-        let mut buf = Frame::new(OpCode::Pull, 1, vec![]).to_bytes();
-        buf[9] = 1; // version byte
-        assert!(matches!(Frame::decode(buf.as_slice()), Err(FrameError::UnsupportedVersion(1))));
+        // Frames from the retired v1 and v2 protocols are rejected up front.
+        for old in [1u8, 2] {
+            let mut buf = Frame::new(OpCode::PullMany, 1, vec![]).to_bytes();
+            buf[9] = old; // version byte
+            assert!(matches!(
+                Frame::decode(buf.as_slice()),
+                Err(FrameError::UnsupportedVersion(v)) if v == old
+            ));
+        }
 
-        // A valid checksum over an unknown op-code byte.
-        let mut frame = Frame::new(OpCode::Pull, 1, vec![]);
-        frame.opcode = OpCode::Error;
-        let mut buf = frame.to_bytes();
-        // Re-encode with opcode byte 200 and a matching checksum.
-        buf[10] = 200;
-        let mut crc = Checksum::new();
-        crc.update(&buf[9..buf.len() - 8]);
-        let crc = crc.digest().to_le_bytes();
-        let n = buf.len();
-        buf[n - 8..].copy_from_slice(&crc);
-        assert!(matches!(Frame::decode(buf.as_slice()), Err(FrameError::UnknownOpcode(200))));
+        // A valid checksum over an unknown op-code byte — including the
+        // retired single-row `Pull`/`PullOk`/`Push`/`PushOk` bytes 1–4.
+        for bad in [1u8, 2, 3, 4, 200] {
+            let mut buf = Frame::new(OpCode::PullMany, 1, vec![]).to_bytes();
+            buf[10] = bad;
+            let mut crc = Checksum::new();
+            crc.update(&buf[9..buf.len() - 8]);
+            let crc = crc.digest().to_le_bytes();
+            let n = buf.len();
+            buf[n - 8..].copy_from_slice(&crc);
+            assert!(matches!(
+                Frame::decode(buf.as_slice()),
+                Err(FrameError::UnknownOpcode(b)) if b == bad
+            ));
+        }
     }
 
     #[test]
     fn payload_codecs_roundtrip() {
-        let pull = PullReq { key: ParamKey::new(3, 77) };
-        assert_eq!(PullReq::decode(&pull.encode()).unwrap(), pull);
-        let resp = PullResp { version: 12, value: vec![1.5, -2.25, 0.0] };
-        assert_eq!(PullResp::decode(&resp.encode()).unwrap(), resp);
-        let push =
-            PushReq { client_id: 2, key: ParamKey::new(0, 5), lr: 0.5, grad: vec![0.25, -0.125] };
-        assert_eq!(PushReq::decode(&push.encode()).unwrap(), push);
         let bar = BarrierReq { client_id: 1, round: 9, expected: 4 };
         assert_eq!(BarrierReq::decode(&bar.encode()).unwrap(), bar);
         let ck = CheckpointReq { round: 3 };
@@ -949,8 +854,8 @@ mod tests {
     #[test]
     fn trace_context_roundtrips_through_a_frame() {
         let ctx = TraceContext { trace_id: 0xDEAD_BEEF_CAFE, span_id: 42 };
-        let inner = PullReq { key: ParamKey::new(1, 9) }.encode();
-        let traced = Frame::new(OpCode::Pull, 7, inner.clone()).with_trace_context(ctx);
+        let inner = PullManyReq { keys: vec![ParamKey::new(1, 9)] }.encode();
+        let traced = Frame::new(OpCode::PullMany, 7, inner.clone()).with_trace_context(ctx);
         assert_eq!(traced.flags & FLAG_TRACE, FLAG_TRACE);
         assert_eq!(traced.wire_len(), FRAME_OVERHEAD + TRACE_EXT_LEN + inner.len());
 
@@ -958,16 +863,17 @@ mod tests {
         let got = decoded.take_trace_context().unwrap();
         assert_eq!(got, Some(ctx));
         // After stripping, the frame is byte-identical to the untraced one.
-        assert_eq!(decoded, Frame::new(OpCode::Pull, 7, inner.clone()));
+        assert_eq!(decoded, Frame::new(OpCode::PullMany, 7, inner.clone()));
         assert_eq!(decoded.take_trace_context().unwrap(), None);
         // Payload codecs see the original bytes.
-        assert_eq!(PullReq::decode(&decoded.payload).unwrap().key, ParamKey::new(1, 9));
+        assert_eq!(PullManyReq::decode(&decoded.payload).unwrap().keys, vec![ParamKey::new(1, 9)]);
     }
 
     #[test]
     fn trace_context_other_flags_survive_strip() {
         let ctx = TraceContext { trace_id: 1, span_id: 2 };
-        let mut frame = Frame::new(OpCode::Pull, 1, PullReq { key: ParamKey::new(0, 0) }.encode());
+        let payload = PullManyReq { keys: vec![ParamKey::new(0, 0)] }.encode();
+        let mut frame = Frame::new(OpCode::PullMany, 1, payload);
         frame.flags |= FLAG_VERSION_ONLY;
         let mut traced = frame.clone().with_trace_context(ctx);
         assert_eq!(traced.flags, FLAG_VERSION_ONLY | FLAG_TRACE);
@@ -978,7 +884,7 @@ mod tests {
     #[test]
     fn malformed_trace_extensions_are_typed_errors() {
         // Flag set but payload too short.
-        let mut short = Frame::new(OpCode::Pull, 1, vec![0u8; 4]);
+        let mut short = Frame::new(OpCode::PullMany, 1, vec![0u8; 4]);
         short.flags |= FLAG_TRACE;
         assert!(matches!(short.take_trace_context(), Err(FrameError::Malformed(_))));
         // Unknown extension version.
@@ -991,17 +897,25 @@ mod tests {
 
     #[test]
     fn payload_codecs_reject_truncation_and_trailing_garbage() {
-        let push =
-            PushReq { client_id: 2, key: ParamKey::new(0, 5), lr: 0.5, grad: vec![0.25, -0.125] };
+        let push = PushManyReq {
+            client_id: 2,
+            lr: 0.5,
+            keys: vec![ParamKey::new(0, 5)],
+            grads: vec![0.25, -0.125],
+        };
         let bytes = push.encode();
-        assert!(PushReq::decode(&bytes[..bytes.len() - 1]).is_err());
+        assert!(PushManyReq::decode(&bytes[..bytes.len() - 1]).is_err());
         let mut long = bytes.clone();
         long.push(0);
-        assert!(PushReq::decode(&long).is_err());
+        assert!(matches!(PushManyReq::decode(&long), Err(FrameError::Malformed(_))));
+        let mut long = BarrierReq { client_id: 1, round: 2, expected: 3 }.encode();
+        long.push(0);
+        assert!(BarrierReq::decode(&long).is_err());
+        assert!(PushResp::decode(&[1, 0]).is_err());
         // A counted f32 section whose count exceeds the remaining bytes
         // must error before allocating.
-        let mut lying = PullResp { version: 1, value: vec![1.0] }.encode();
-        lying[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(PullResp::decode(&lying).is_err());
+        let mut lying = PullManyResp { versions: vec![1], values: vec![1.0] }.encode();
+        lying[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(PullManyResp::decode(&lying), Err(FrameError::Malformed(_))));
     }
 }

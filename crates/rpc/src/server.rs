@@ -22,8 +22,7 @@
 
 use crate::frame::{
     encode_error, BarrierReq, CheckpointReq, Frame, FrameError, OpCode, PullManyReq, PullManyResp,
-    PullReq, PullResp, PushManyReq, PushReq, PushResp, TraceContext, FLAG_VERSION_ONLY,
-    TRACE_EXT_LEN,
+    PushManyReq, PushResp, TraceContext, FLAG_VERSION_ONLY, TRACE_EXT_LEN,
 };
 use mamdr_obs::{MetricsRegistry, SpanContext, Tracer};
 use mamdr_ps::{checkpoint, ParameterServer};
@@ -205,11 +204,10 @@ impl PsServer {
 /// Span name of a server-side request handling, by op-code.
 fn server_span_name(op: OpCode) -> &'static str {
     match op {
-        OpCode::Pull | OpCode::PullMany => "server.pull",
-        // The push handler's job is applying the update to the store;
-        // this is the span the issue's "worker pull/push parents server
-        // apply" contract names.
-        OpCode::Push | OpCode::PushMany => "server.apply",
+        OpCode::PullMany => "server.pull",
+        // The push handler's job is applying the update to the store, so
+        // its span is named for that: worker pushes parent server applies.
+        OpCode::PushMany => "server.apply",
         OpCode::BarrierSync => "server.barrier",
         OpCode::Checkpoint => "server.checkpoint",
         OpCode::Shutdown => "server.shutdown",
@@ -221,15 +219,9 @@ fn server_span_name(op: OpCode) -> &'static str {
 fn serve_conn(mut stream: TcpStream, inner: &Inner) {
     let _ = stream.set_nodelay(true);
     let m = &inner.metrics;
+    let tracer = inner.tracer.as_deref();
     loop {
-        let decoded = match &inner.tracer {
-            Some(t) => Frame::decode_timed(&mut stream).map(|(f, d)| {
-                t.record_phase("wire.decode", d);
-                f
-            }),
-            None => Frame::decode(&mut stream),
-        };
-        let mut req = match decoded {
+        let mut req = match Frame::decode_traced(&mut stream, tracer) {
             Ok(f) => f,
             // EOF is the clean hangup; a reset is the same hangup when the
             // peer closed with undrained bytes (e.g. a pipelining client
@@ -268,7 +260,7 @@ fn serve_conn(mut stream: TcpStream, inner: &Inner) {
             m.counter(&format!("rpc_frames_total{{shard=\"{shard}\"}}")).inc();
         }
         m.counter("rpc_bytes_in_total").add(req.wire_len() as u64);
-        let span = match (&inner.tracer, trace_ctx) {
+        let span = match (tracer, trace_ctx) {
             (Some(t), Some(TraceContext { trace_id, span_id })) => {
                 let mut span =
                     t.child(server_span_name(req.opcode), SpanContext { trace_id, span_id });
@@ -279,7 +271,7 @@ fn serve_conn(mut stream: TcpStream, inner: &Inner) {
         };
         let resp = handle(&req, inner);
         if let Some(mut span) = span {
-            if resp.opcode == OpCode::PushOk || resp.opcode == OpCode::PushManyOk {
+            if resp.opcode == OpCode::PushManyOk {
                 // `applied: false` means the exactly-once path recognized
                 // a retransmission — visible in the trace as a deduped
                 // sibling attempt under the same logical push span.
@@ -288,16 +280,10 @@ fn serve_conn(mut stream: TcpStream, inner: &Inner) {
             span.finish();
         }
         m.counter("rpc_bytes_out_total").add(resp.wire_len() as u64);
-        let write_ok = match &inner.tracer {
-            Some(t) => {
-                let t0 = std::time::Instant::now();
-                let buf = resp.to_bytes();
-                t.record_phase("wire.encode", t0.elapsed());
-                stream.write_all(&buf).is_ok()
-            }
-            None => resp.encode(&mut stream).is_ok(),
-        };
-        if !write_ok || stream.flush().is_err() {
+        // One buffer, one write: the stream is unbuffered and TCP_NODELAY,
+        // so a piecewise encode would put each frame field in its own
+        // segment.
+        if stream.write_all(&resp.to_bytes_traced(tracer)).is_err() {
             return;
         }
     }
@@ -309,24 +295,6 @@ fn handle(req: &Frame, inner: &Inner) -> Frame {
     let seq = req.seq;
     let error = |msg: String| Frame::new(OpCode::Error, seq, encode_error(&msg));
     match req.opcode {
-        OpCode::Pull => match PullReq::decode(&req.payload) {
-            Ok(pull) => {
-                if req.flags & FLAG_VERSION_ONLY != 0 {
-                    // Silent observability probe: no value bytes, no
-                    // traffic accounting — mirrors `ParameterServer::version`.
-                    let version = inner.ps.version(pull.key);
-                    let payload = PullResp { version, value: Vec::new() }.encode();
-                    return Frame::new(OpCode::PullOk, seq, payload);
-                }
-                if inner.ps.read_silent(pull.key).is_none() {
-                    return error(format!("pull of uninitialized key {:?}", pull.key));
-                }
-                let value = inner.ps.pull(pull.key);
-                let version = inner.ps.version(pull.key);
-                Frame::new(OpCode::PullOk, seq, PullResp { version, value }.encode())
-            }
-            Err(e) => error(format!("bad pull payload: {e}")),
-        },
         OpCode::PullMany => match PullManyReq::decode(&req.payload) {
             Ok(pull) => {
                 if req.flags & FLAG_VERSION_ONLY != 0 {
@@ -354,30 +322,6 @@ fn handle(req: &Frame, inner: &Inner) -> Frame {
                 Frame::new(OpCode::PullManyOk, seq, PullManyResp { versions, values }.encode())
             }
             Err(e) => error(format!("bad pull-many payload: {e}")),
-        },
-        OpCode::Push => match PushReq::decode(&req.payload) {
-            Ok(push) => {
-                if inner.ps.read_silent(push.key).is_none() {
-                    return error(format!("push to uninitialized key {:?}", push.key));
-                }
-                // Exactly-once: check-and-apply under one lock so retries
-                // and concurrent clients cannot double-apply.
-                let mut last = inner.last_push_seq.lock().expect("push-seq lock");
-                let applied = match last.get(&push.client_id) {
-                    Some(&prev) if seq <= prev => false,
-                    _ => {
-                        inner.ps.push_outer_grad(push.key, &push.grad, push.lr);
-                        last.insert(push.client_id, seq);
-                        true
-                    }
-                };
-                drop(last);
-                let name =
-                    if applied { "rpc_push_applied_total" } else { "rpc_push_deduped_total" };
-                inner.metrics.counter(name).inc();
-                Frame::new(OpCode::PushOk, seq, PushResp { applied }.encode())
-            }
-            Err(e) => error(format!("bad push payload: {e}")),
         },
         OpCode::PushMany => match PushManyReq::decode(&req.payload) {
             Ok(push) => {

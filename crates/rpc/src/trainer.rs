@@ -16,15 +16,16 @@
 //!
 //! ## Sharding
 //!
-//! With [`LoopbackConfig::shards`] above one, the key space is split over
-//! N independent servers by the FNV [`ShardMap`] — the pure hash route
-//! every client computes identically. Reads and writes are partitioned
-//! into per-shard sub-batches that preserve the global order within each
-//! shard; Adagrad updates on distinct keys commute, so applying each
-//! shard's key-sorted sub-sequence yields bit-identical parameters to the
-//! single-server order. Checkpoints and journals are written per shard
-//! (shard-parallel) and committed by a [`ShardManifest`] written last —
-//! the rename is the commit point, and resume re-routes the merged state
+//! Every deployment is a fleet of [`LoopbackConfig::shards`] independent
+//! servers — one server is simply a 1-shard fleet. The key space is split
+//! by the FNV [`ShardMap`], the pure hash route every client computes
+//! identically. Reads and writes are partitioned into per-shard
+//! sub-batches that preserve the global order within each shard; Adagrad
+//! updates on distinct keys commute, so applying each shard's key-sorted
+//! sub-sequence yields bit-identical parameters at every shard count.
+//! Checkpoints and journals are written per shard (shard-parallel) under
+//! `shard-<i>/` and committed by a [`ShardManifest`] written last — the
+//! rename is the commit point, and resume re-routes the merged state
 //! through whatever shard count the new run uses.
 //!
 //! ## Supervision
@@ -54,13 +55,14 @@
 //!
 //! ## Crash-resumable rounds
 //!
-//! With [`LoopbackConfig::checkpoint_every`] set, the driver writes a
+//! With [`LoopbackConfig::checkpoint_every`] set, every shard writes a
 //! parameter checkpoint plus a [`RoundJournal`] (round index, report
 //! aggregates, and the Adagrad accumulators the checkpoint format omits)
-//! at each boundary. Single-server runs keep the journal itself as the
-//! commit point; sharded runs write one checkpoint + journal per shard in
-//! parallel and commit them all with one digest-carrying manifest. A
-//! restarted driver with [`LoopbackConfig::resume`] restores the store(s)
+//! at each boundary, in parallel, and one digest-carrying manifest commits
+//! them all — starting with the seeded round-0 state of a fresh run. A
+//! restarted driver with [`LoopbackConfig::resume`] loads the newest
+//! manifest whose files all match their digests (a torn or bit-flipped
+//! file sends discovery back to the previous round), restores the stores
 //! and re-runs the remaining rounds; since every RNG stream is derived
 //! statelessly from `(seed, epoch, worker)`, the resumed run's final
 //! parameters and report are bit-identical to an uninterrupted run — at
@@ -80,7 +82,7 @@ use crate::fault::{FaultPlan, FaultState};
 use crate::server::PsServer;
 use mamdr_data::{MdrDataset, Split};
 use mamdr_obs::{maybe_child, maybe_span, MetricsRegistry, SpanContext, Tracer};
-use mamdr_ps::journal::{latest_journal, RoundJournal};
+use mamdr_ps::journal::RoundJournal;
 use mamdr_ps::trainer::{
     evaluate_server, partition_domains, run_cached_round, seed_sharded_servers, worker_round_seed,
     CachedRoundOutput,
@@ -185,8 +187,8 @@ pub enum TrainerError {
     /// A driver-side RPC (gradient push or checkpoint) failed past its
     /// retry budget.
     Driver(String),
-    /// Resume state could not be loaded (no journal, or a checkpoint /
-    /// journal mismatch).
+    /// Resume state could not be loaded (no committed manifest, or one
+    /// written for a different configuration).
     Resume(String),
 }
 
@@ -230,22 +232,20 @@ pub struct LoopbackConfig {
     pub train: DistributedConfig,
     /// Number of independent parameter-server shards the key space is
     /// split over (consistent FNV routing via [`ShardMap`]). `1` — the
-    /// default — is the classic single-server deployment.
+    /// default — is a single server: a 1-shard fleet.
     pub shards: usize,
     /// Deterministic fault schedule; `None` injects nothing.
     pub fault: Option<FaultPlan>,
     /// Client retry/deadline policy.
     pub retry: RetryPolicy,
-    /// Where `Checkpoint` RPCs write snapshots (`None` disables them).
-    /// Sharded runs write per-shard files under `shard-<i>/` plus a
-    /// top-level manifest.
+    /// Where round boundaries are committed (`None` disables them): each
+    /// shard's files under `shard-<i>/`, plus a top-level manifest.
     pub checkpoint_dir: Option<PathBuf>,
     /// Write a checkpoint + round journal every this many rounds
     /// (`0` disables journaling). Requires a checkpoint directory.
     pub checkpoint_every: usize,
-    /// Resume from the newest valid journal (single-server) or committed
-    /// manifest (sharded) in the checkpoint directory instead of starting
-    /// from round 0.
+    /// Resume from the newest committed manifest in the checkpoint
+    /// directory instead of starting from round 0.
     pub resume: bool,
     /// How long the supervisor waits without hearing from *any* worker
     /// before presuming the missing ones hung and restarting them.
@@ -332,7 +332,6 @@ struct ResumeBase {
     cache: CacheStats,
     max_staleness: u64,
     round_losses: Vec<f64>,
-    traffic: (u64, u64, u64, u64),
     guard_trips: u64,
     guard_rollbacks: u64,
 }
@@ -364,10 +363,11 @@ impl DistributedTrainer {
     /// Seeds fresh stores exactly like [`mamdr_ps::DistributedMamdr::new`]
     /// — one RNG stream, each row routed to its owning shard — and starts
     /// one loopback server per shard on an ephemeral port. With
-    /// [`LoopbackConfig::resume`], the newest committed state is loaded on
-    /// top: the legacy journal for single-server runs, the newest manifest
-    /// for sharded ones (merged and re-routed, so the shard count may
-    /// differ from the run that wrote it).
+    /// [`LoopbackConfig::resume`], the newest committed manifest is loaded
+    /// on top (merged and re-routed, so the shard count may differ from
+    /// the run that wrote it); otherwise, with
+    /// [`LoopbackConfig::checkpoint_every`] set, the seeded state is
+    /// committed as round 0.
     pub fn new(
         ds: &MdrDataset,
         cfg: LoopbackConfig,
@@ -418,20 +418,6 @@ impl DistributedTrainer {
             seed_sharded_servers(&refs, &map, ds, cfg.train.dim, cfg.train.seed);
         }
         let resume_base = match (&cfg.checkpoint_dir, cfg.resume) {
-            (Some(dir), true) if n == 1 => {
-                // Prefer the legacy single-server journal; fall back to a
-                // committed manifest so an N-shard run can shrink to one.
-                match load_resume_state(&stores[0], dir, &cfg.train) {
-                    Ok(base) => base,
-                    Err(journal_err) => match load_sharded_resume_state(&stores, dir, &cfg.train) {
-                        Ok((m, base)) => {
-                            map = m;
-                            base
-                        }
-                        Err(_) => return Err(journal_err),
-                    },
-                }
-            }
             (Some(dir), true) => {
                 let (m, base) = load_sharded_resume_state(&stores, dir, &cfg.train)?;
                 map = m;
@@ -443,13 +429,7 @@ impl DistributedTrainer {
             .into_iter()
             .enumerate()
             .map(|(s, ps)| -> Result<ShardRt, TrainerError> {
-                let ckpt_dir = cfg.checkpoint_dir.as_ref().map(|d| {
-                    if n == 1 {
-                        d.clone()
-                    } else {
-                        shard_dir(d, s)
-                    }
-                });
+                let ckpt_dir = cfg.checkpoint_dir.as_ref().map(|d| shard_dir(d, s));
                 let server = PsServer::bind_shard(
                     "127.0.0.1:0",
                     Arc::clone(&ps),
@@ -464,13 +444,10 @@ impl DistributedTrainer {
             })
             .collect::<Result<Vec<_>, _>>()?;
         let trainer = DistributedTrainer { shards, map, cfg, metrics, resume_base };
-        if n > 1
-            && trainer.cfg.checkpoint_every > 0
-            && !trainer.cfg.resume
-            && trainer.resume_base.start_epoch == 0
-        {
-            // Commit the seeded round-0 state up front so a shard killed in
-            // the very first round has a committed recovery source.
+        if trainer.cfg.checkpoint_every > 0 && !trainer.cfg.resume {
+            // Commit the seeded round-0 state up front, so a shard killed in
+            // the very first round has a committed recovery source and a
+            // crash before the first boundary still resumes.
             trainer.commit_sharded_round(
                 0,
                 CacheStats::default(),
@@ -492,9 +469,8 @@ impl DistributedTrainer {
         }
     }
 
-    /// Shard 0's store — *the* store of a single-shard run (evaluation and
-    /// checkpoint comparison). Sharded callers want
-    /// [`DistributedTrainer::merged_store`].
+    /// Shard 0's store — the whole store of a 1-shard fleet. Callers that
+    /// want every shard's rows use [`DistributedTrainer::merged_store`].
     pub fn store(&self) -> &Arc<ParameterServer> {
         &self.shards[0].ps
     }
@@ -504,9 +480,8 @@ impl DistributedTrainer {
         self.map
     }
 
-    /// A fresh store holding every shard's rows, accumulators and row
-    /// versions merged — byte-comparable (via `checkpoint::save`) against
-    /// a single-server run's store.
+    /// A fresh store holding every shard's rows and accumulators merged —
+    /// byte-comparable (via `checkpoint::save`) across shard counts.
     pub fn merged_store(&self) -> ParameterServer {
         let stores: Vec<&ParameterServer> = self.shards.iter().map(|rt| rt.ps.as_ref()).collect();
         merge_stores(&stores, self.cfg.train.n_shards, self.cfg.train.dim)
@@ -521,7 +496,8 @@ impl DistributedTrainer {
     /// A client to shard `shard` with this run's retry policy and — when a
     /// fault plan is configured — a fault stream decorrelated by
     /// `(stream, client_id)` and, beyond one shard, by the shard index
-    /// (single-shard runs keep the exact legacy stream).
+    /// (a 1-shard fleet keeps the undecorrelated stream the pinned wire
+    /// counters were recorded on).
     fn make_client(&self, client_id: u32, stream: u64, shard: usize) -> WorkerClient {
         let fault = self.cfg.fault.as_ref().map(|plan| {
             let mut p = plan.clone();
@@ -796,7 +772,6 @@ impl DistributedTrainer {
         }
         let n_sh = self.map.n_shards();
         let start_epoch = self.resume_base.start_epoch;
-        let base_traffic = self.resume_base.traffic;
         let base_guard = (self.resume_base.guard_trips, self.resume_base.guard_rollbacks);
         let mut combined = self.resume_base.cache;
         let mut max_staleness = self.resume_base.max_staleness;
@@ -949,23 +924,13 @@ impl DistributedTrainer {
             let rounds_done = epoch + 1;
             if self.cfg.checkpoint_every > 0 && rounds_done % self.cfg.checkpoint_every == 0 {
                 let _span = maybe_child(&tracer, "round.journal", round_ctx);
-                if n_sh == 1 {
-                    self.write_journal(
-                        rounds_done as u64,
-                        combined,
-                        max_staleness,
-                        &round_losses,
-                        &guard,
-                    )?;
-                } else {
-                    self.commit_sharded_round(
-                        rounds_done as u64,
-                        combined,
-                        max_staleness,
-                        &round_losses,
-                        &guard,
-                    )?;
-                }
+                self.commit_sharded_round(
+                    rounds_done as u64,
+                    combined,
+                    max_staleness,
+                    &round_losses,
+                    &guard,
+                )?;
             }
             if let Some((hook, publisher)) = &publisher {
                 if rounds_done % hook.every == 0 {
@@ -997,24 +962,20 @@ impl DistributedTrainer {
             traffic.2 += bp;
             traffic.3 += bs;
         }
-        let mean_auc = if n_sh == 1 {
-            self.shards[0].ps.export_kv_gauges(&self.metrics);
-            let _span = maybe_span(&tracer, "round.evaluate");
-            evaluate_server(&self.shards[0].ps, ds, Split::Test)
-        } else {
-            let merged = self.merged_store();
-            merged.export_kv_gauges(&self.metrics);
-            for (s, rt) in self.shards.iter().enumerate() {
-                rt.ps.export_kv_gauges_for_shard(&self.metrics, s);
-            }
+        let merged = self.merged_store();
+        merged.export_kv_gauges(&self.metrics);
+        for (s, rt) in self.shards.iter().enumerate() {
+            rt.ps.export_kv_gauges_for_shard(&self.metrics, s);
+        }
+        let mean_auc = {
             let _span = maybe_span(&tracer, "round.evaluate");
             evaluate_server(&merged, ds, Split::Test)
         };
         Ok(DistributedReport {
             mean_auc,
-            pulls: base_traffic.0 + traffic.0,
-            pushes: base_traffic.1 + traffic.1,
-            total_bytes: base_traffic.2 + base_traffic.3 + traffic.2 + traffic.3,
+            pulls: traffic.0,
+            pushes: traffic.1,
+            total_bytes: traffic.2 + traffic.3,
             cache: combined,
             max_staleness,
             round_losses,
@@ -1023,53 +984,11 @@ impl DistributedTrainer {
         })
     }
 
-    /// Writes the round-boundary checkpoint (over RPC, so the server-side
-    /// path is exercised) and then the journal that commits it — the
-    /// single-server boundary protocol.
-    fn write_journal(
-        &self,
-        rounds_done: u64,
-        cache: CacheStats,
-        max_staleness: u64,
-        round_losses: &[f64],
-        guard: &GuardRail,
-    ) -> Result<(), TrainerError> {
-        let Some(dir) = &self.cfg.checkpoint_dir else {
-            return Err(TrainerError::Config("journaling requires a checkpoint directory".into()));
-        };
-        let ckpt_path = self.checkpoint(rounds_done)?;
-        let checkpoint_file = file_name_of(&ckpt_path);
-        let base = &self.resume_base;
-        let (pulls, pushes, bp, bs) = self.shards[0].ps.traffic().snapshot();
-        let journal = RoundJournal {
-            rounds_done,
-            checkpoint_file,
-            cache,
-            max_staleness,
-            traffic: (
-                base.traffic.0 + pulls,
-                base.traffic.1 + pushes,
-                base.traffic.2 + bp,
-                base.traffic.3 + bs,
-            ),
-            guard_trips: base.guard_trips + guard.trips(),
-            guard_rollbacks: base.guard_rollbacks + guard.rollbacks(),
-            round_losses: round_losses.to_vec(),
-            dim: self.cfg.train.dim as u32,
-            adagrad: self.shards[0].ps.dump_adagrad(),
-        };
-        journal
-            .write_to_dir(dir)
-            .map_err(|e| TrainerError::Driver(format!("journal write: {e}")))?;
-        self.metrics.counter("rpc_journal_writes_total").inc();
-        Ok(())
-    }
-
-    /// The sharded round boundary: every shard's checkpoint RPC and
-    /// journal write run shard-parallel on scoped threads, then one
-    /// [`ShardManifest`] carrying each file's digest is written at the
-    /// top level. The manifest rename is the *only* commit point — a crash
-    /// at any earlier moment leaves the previous boundary committed.
+    /// The round boundary: every shard's checkpoint RPC and journal write
+    /// run shard-parallel on scoped threads, then one [`ShardManifest`]
+    /// carrying each file's digest is written at the top level. The
+    /// manifest rename is the *only* commit point — a crash at any earlier
+    /// moment leaves the previous boundary committed.
     fn commit_sharded_round(
         &self,
         rounds_done: u64,
@@ -1206,16 +1125,6 @@ impl DistributedTrainer {
         Ok(())
     }
 
-    /// Writes a server-side checkpoint via the `Checkpoint` RPC (shard 0
-    /// of a sharded run — boundary commits go through
-    /// `commit_sharded_round` instead) and returns its path. Requires
-    /// [`LoopbackConfig::checkpoint_dir`].
-    pub fn checkpoint(&self, round: u64) -> Result<String, TrainerError> {
-        self.make_client(u32::MAX, 0xCC, 0)
-            .checkpoint(round)
-            .map_err(|e| TrainerError::Driver(format!("checkpoint rpc: {e}")))
-    }
-
     /// Gracefully drains every shard's server: `Shutdown` RPC, then joins
     /// the accept loop and every connection thread. A failed drain request
     /// is non-fatal — the drain flag is set directly instead (counted as
@@ -1251,34 +1160,14 @@ fn file_name_of(path: &str) -> String {
         .unwrap_or_else(|| path.to_owned())
 }
 
-/// Packs one worker's drained outer gradients into `PushMany` requests,
-/// one per [`WIRE_BATCH_KEYS`] chunk, preserving the pre-sorted key order.
-fn push_many_requests(grads: &[(ParamKey, Vec<f32>)], lr: f32) -> Vec<Request> {
-    grads
-        .chunks(WIRE_BATCH_KEYS)
-        .map(|chunk| {
-            let mut keys = Vec::with_capacity(chunk.len());
-            let mut flat = Vec::new();
-            for (key, delta) in chunk {
-                keys.push(*key);
-                flat.extend_from_slice(delta);
-            }
-            Request::PushMany { lr, keys, grads: flat }
-        })
-        .collect()
-}
-
 /// Partitions one worker's key-sorted gradients over the shard map and
 /// packs each shard's (still key-sorted) sub-sequence into `PushMany`
-/// chunks. With one shard this is exactly [`push_many_requests`].
+/// requests, one per [`WIRE_BATCH_KEYS`] chunk.
 fn sharded_push_requests(
     grads: &[(ParamKey, Vec<f32>)],
     lr: f32,
     map: &ShardMap,
 ) -> Vec<Vec<Request>> {
-    if map.n_shards() == 1 {
-        return vec![push_many_requests(grads, lr)];
-    }
     let keys: Vec<ParamKey> = grads.iter().map(|(k, _)| *k).collect();
     map.partition_indices(&keys)
         .into_iter()
@@ -1349,44 +1238,10 @@ fn flush_sharded(
     })
 }
 
-/// Restores a resumed run's store and aggregates from the newest valid
-/// journal in `dir`: parameter rows from the journal's checkpoint file,
-/// Adagrad accumulators and report aggregates from the journal itself.
-fn load_resume_state(
-    ps: &ParameterServer,
-    dir: &Path,
-    train: &DistributedConfig,
-) -> Result<ResumeBase, TrainerError> {
-    let (journal_path, journal) = latest_journal(dir, None)
-        .map_err(|e| TrainerError::Resume(format!("journal discovery: {e}")))?
-        .ok_or_else(|| TrainerError::Resume(format!("no valid journal in {}", dir.display())))?;
-    if journal.dim as usize != train.dim {
-        return Err(TrainerError::Resume(format!(
-            "journal {} has dim {}, config wants {}",
-            journal_path.display(),
-            journal.dim,
-            train.dim
-        )));
-    }
-    let ckpt_path = dir.join(&journal.checkpoint_file);
-    let loaded = checkpoint::load_from_path(&ckpt_path, train.n_shards)
-        .map_err(|e| TrainerError::Resume(format!("{}: {e}", ckpt_path.display())))?;
-    ps.restore_state(&loaded.dump_rows(), &journal.adagrad);
-    Ok(ResumeBase {
-        start_epoch: journal.rounds_done as usize,
-        cache: journal.cache,
-        max_staleness: journal.max_staleness,
-        round_losses: journal.round_losses,
-        traffic: journal.traffic,
-        guard_trips: journal.guard_trips,
-        guard_rollbacks: journal.guard_rollbacks,
-    })
-}
-
-/// Restores a resumed *sharded* run from the newest committed manifest in
-/// `dir`: the per-shard checkpoints and journals are merged, the merged
-/// key-sorted rows and accumulators are re-routed through a map for the
-/// *new* shard count (the N→M rehash — the map generation is bumped when
+/// Restores a resumed run from the newest committed manifest in `dir`: the
+/// per-shard checkpoints and journals are merged, the merged key-sorted
+/// rows and accumulators are re-routed through a map for the *new* shard
+/// count (the N→M rehash — the map generation is bumped when
 /// the topology changed), and the dead run's summed wire traffic rides
 /// shard 0's counters so the final report still reaches the global figure.
 fn load_sharded_resume_state(
@@ -1435,7 +1290,6 @@ fn load_sharded_resume_state(
             cache: meta.cache,
             max_staleness: meta.max_staleness,
             round_losses: meta.round_losses.clone(),
-            traffic: (0, 0, 0, 0),
             guard_trips: meta.guard_trips,
             guard_rollbacks: meta.guard_rollbacks,
         },

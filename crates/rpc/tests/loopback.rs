@@ -1,7 +1,8 @@
 //! Integration tests of the client/server pair over real loopback TCP:
 //! request round trips, typed server errors, exactly-once push semantics
 //! under duplication and retry, reconnect-after-disconnect, and graceful
-//! drain.
+//! drain. Single-row cases send 1-row batches — the wire has no other way
+//! to move a row.
 
 use mamdr_obs::MetricsRegistry;
 use mamdr_ps::{ParamKey, ParameterServer};
@@ -35,6 +36,31 @@ fn faulted_client(
     WorkerClient::new(server.addr(), id, policy, fault, Arc::clone(metrics))
 }
 
+/// Reads one row as a 1-row `PullMany`: `(value, version)`.
+fn pull(c: &mut WorkerClient, key: ParamKey) -> Result<(Vec<f32>, u64), RpcError> {
+    match c.call(Request::PullMany { keys: vec![key] })? {
+        Response::PullMany { versions, values } => Ok((values, versions[0])),
+        other => panic!("PullMany answered with {other:?}"),
+    }
+}
+
+/// Probes one row's version as a 1-row `PullVersions`.
+fn pull_version(c: &mut WorkerClient, key: ParamKey) -> Result<u64, RpcError> {
+    match c.call(Request::PullVersions { keys: vec![key] })? {
+        Response::PullVersions { versions } => Ok(versions[0]),
+        other => panic!("PullVersions answered with {other:?}"),
+    }
+}
+
+/// Pushes one row's gradient as a 1-row `PushMany`; `false` when the
+/// server recognized a retry of an already-applied push.
+fn push(c: &mut WorkerClient, key: ParamKey, grad: &[f32], lr: f32) -> Result<bool, RpcError> {
+    match c.call(Request::PushMany { lr, keys: vec![key], grads: grad.to_vec() })? {
+        Response::PushMany { applied } => Ok(applied),
+        other => panic!("PushMany answered with {other:?}"),
+    }
+}
+
 #[test]
 fn pull_and_push_roundtrip_with_traffic_accounting() {
     let (server, ps, metrics) = harness(4);
@@ -42,12 +68,12 @@ fn pull_and_push_roundtrip_with_traffic_accounting() {
     ps.init_row(key, vec![1.0, 2.0, 3.0, 4.0]);
     let mut c = client(&server, 1, &metrics);
 
-    let (value, version) = c.pull(key).unwrap();
+    let (value, version) = pull(&mut c, key).unwrap();
     assert_eq!(value, vec![1.0, 2.0, 3.0, 4.0]);
     assert_eq!(version, 0);
 
-    assert!(c.push(key, &[1.0, 0.0, 0.0, 0.0], 0.5).unwrap());
-    let (after, version) = c.pull(key).unwrap();
+    assert!(push(&mut c, key, &[1.0, 0.0, 0.0, 0.0], 0.5).unwrap());
+    let (after, version) = pull(&mut c, key).unwrap();
     assert!(after[0] > 1.0, "{after:?}");
     assert_eq!(version, 1);
 
@@ -56,7 +82,7 @@ fn pull_and_push_roundtrip_with_traffic_accounting() {
     let (pulls, pushes, _, _) = ps.traffic().snapshot();
     assert_eq!((pulls, pushes), (2, 1));
     // A version-only probe is silent.
-    assert_eq!(c.pull_version(key).unwrap(), 1);
+    assert_eq!(pull_version(&mut c, key).unwrap(), 1);
     assert_eq!(ps.traffic().snapshot().0, 2);
     assert!(metrics.counter("rpc_frames_total").get() >= 4);
 }
@@ -67,11 +93,11 @@ fn uninitialized_key_is_a_server_error_not_a_crash() {
     let mut c = client(&server, 1, &metrics);
     // Both the pull and push paths must answer with a typed Error frame
     // (the in-process store would panic); later requests still work.
-    match c.pull(ParamKey::new(9, 9)) {
+    match pull(&mut c, ParamKey::new(9, 9)) {
         Err(RpcError::Server(msg)) => assert!(msg.contains("uninitialized")),
         other => panic!("expected server error, got {other:?}"),
     }
-    match c.push(ParamKey::new(9, 9), &[0.0, 0.0], 0.1) {
+    match push(&mut c, ParamKey::new(9, 9), &[0.0, 0.0], 0.1) {
         Err(RpcError::Server(msg)) => assert!(msg.contains("uninitialized")),
         other => panic!("expected server error, got {other:?}"),
     }
@@ -80,7 +106,7 @@ fn uninitialized_key_is_a_server_error_not_a_crash() {
     // The connection survived and still serves requests.
     let key = ParamKey::new(0, 0);
     server.store().init_row(key, vec![1.0, 1.0]);
-    assert_eq!(c.pull(key).unwrap().0, vec![1.0, 1.0]);
+    assert_eq!(pull(&mut c, key).unwrap().0, vec![1.0, 1.0]);
 }
 
 #[test]
@@ -92,12 +118,12 @@ fn duplicated_push_frames_are_applied_exactly_once() {
     // copy by (client, seq).
     let mut c = faulted_client(&server, 3, &metrics, RetryPolicy::default(), "seed=1,dup=1.0");
     for _ in 0..10 {
-        assert!(c.push(key, &[1.0, 0.0], 1.0).unwrap());
+        assert!(push(&mut c, key, &[1.0, 0.0], 1.0).unwrap());
     }
     // The last push's duplicate may still be in flight when its response
     // arrives; frames on one connection are served in order, so a trailing
     // round trip guarantees the server has processed every duplicate.
-    c.pull(key).unwrap();
+    pull(&mut c, key).unwrap();
     assert_eq!(ps.traffic().snapshot().1, 10, "store saw each push once");
     assert_eq!(metrics.counter("rpc_push_applied_total").get(), 10);
     assert_eq!(metrics.counter("rpc_push_deduped_total").get(), 10);
@@ -123,7 +149,7 @@ fn lost_responses_retry_without_double_applying() {
         "seed=2,drop_recv=0.3",
     );
     for _ in 0..40 {
-        c.push(key, &[1.0, 0.0], 1.0).unwrap();
+        push(&mut c, key, &[1.0, 0.0], 1.0).unwrap();
     }
     assert_eq!(ps.traffic().snapshot().1, 40, "exactly one application per logical push");
     assert_eq!(metrics.counter("rpc_push_applied_total").get(), 40);
@@ -146,7 +172,7 @@ fn injected_disconnect_reconnects_and_recovers() {
         "seed=3,disconnect=1+3",
     );
     for _ in 0..6 {
-        assert_eq!(c.pull(key).unwrap().0, vec![5.0, 5.0]);
+        assert_eq!(pull(&mut c, key).unwrap().0, vec![5.0, 5.0]);
     }
     assert_eq!(metrics.counter("rpc_faults_disconnects_total").get(), 2);
     // Initial connect plus one reconnect per injected disconnect.
@@ -166,7 +192,7 @@ fn unsendable_requests_exhaust_the_retry_budget() {
         RetryPolicy { max_attempts: 3, base_backoff_micros: 10, ..Default::default() },
         "seed=4,drop_send=1.0",
     );
-    match c.pull(key) {
+    match pull(&mut c, key) {
         Err(RpcError::Exhausted { attempts, .. }) => assert_eq!(attempts, 3),
         other => panic!("expected exhaustion, got {other:?}"),
     }

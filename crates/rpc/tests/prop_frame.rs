@@ -5,15 +5,17 @@
 
 use mamdr_ps::ParamKey;
 use mamdr_rpc::frame::{
-    BarrierReq, CheckpointReq, Frame, FrameError, OpCode, PullManyReq, PullManyResp, PullReq,
-    PullResp, PushManyReq, PushReq, PushResp, FRAME_OVERHEAD, MAX_PAYLOAD,
+    BarrierReq, CheckpointReq, Frame, FrameError, OpCode, PullManyReq, PullManyResp, PushManyReq,
+    PushResp, TraceContext, FRAME_OVERHEAD, MAX_PAYLOAD, TRACE_EXT_LEN,
 };
 use proptest::prelude::*;
 
+/// A payload decoder reduced to "did it reject these bytes".
+type Rejects = fn(&[u8]) -> bool;
+
 fn opcode_from(byte: u8) -> OpCode {
-    // Map an arbitrary byte onto the valid op-code range (the table has
-    // 15 entries at bytes 1..=15).
-    OpCode::from_byte(1 + byte % OpCode::ALL.len() as u8).expect("in range")
+    // Map an arbitrary byte onto the op-code table.
+    OpCode::ALL[byte as usize % OpCode::ALL.len()]
 }
 
 proptest! {
@@ -52,7 +54,7 @@ proptest! {
         payload in proptest::collection::vec(0u8..=255, 0..200),
         keep in 0usize..4096,
     ) {
-        let bytes = Frame::new(OpCode::Push, seq, payload).to_bytes();
+        let bytes = Frame::new(OpCode::PushMany, seq, payload).to_bytes();
         let keep = keep % bytes.len();
         prop_assert!(Frame::decode(&bytes[..keep]).is_err());
     }
@@ -67,9 +69,7 @@ proptest! {
         // declared length cannot balloon memory.
         let _ = Frame::decode(junk.as_slice());
         // The same junk fed to every payload parser.
-        let _ = PullReq::decode(&junk);
-        let _ = PullResp::decode(&junk);
-        let _ = PushReq::decode(&junk);
+        let _ = TraceContext::decode(&junk);
         let _ = PushResp::decode(&junk);
         let _ = BarrierReq::decode(&junk);
         let _ = CheckpointReq::decode(&junk);
@@ -85,7 +85,7 @@ proptest! {
     ) {
         // Hand-forge a header whose length field exceeds the cap; the
         // decoder must reject it from the 32 header bytes alone.
-        let mut bytes = Frame::new(OpCode::Pull, seq, Vec::new()).to_bytes();
+        let mut bytes = Frame::new(OpCode::PullMany, seq, Vec::new()).to_bytes();
         bytes.truncate(FRAME_OVERHEAD - 8); // keep magic + header only
         let lying = MAX_PAYLOAD + excess;
         bytes[20..24].copy_from_slice(&lying.to_le_bytes());
@@ -96,23 +96,21 @@ proptest! {
     }
 
     #[test]
-    fn pull_and_push_payloads_roundtrip(
-        table in 0u32..16,
-        row in 0u32..u32::MAX,
+    fn fixed_size_payloads_roundtrip(
         client in 0u32..64,
-        version in 0u64..u64::MAX,
-        lr in -10.0f32..10.0,
-        values in proptest::collection::vec(-1e30f32..1e30, 0..64),
+        round in 0u64..u64::MAX,
+        expected in 0u32..u32::MAX,
+        trace_id in 0u64..u64::MAX,
+        applied in proptest::bool::ANY,
     ) {
-        let key = ParamKey::new(table, row);
-        let pull = PullReq { key };
-        prop_assert_eq!(PullReq::decode(&pull.encode()).unwrap(), pull);
-        let resp = PullResp { version, value: values.clone() };
-        prop_assert_eq!(PullResp::decode(&resp.encode()).unwrap(), resp);
-        let push = PushReq { client_id: client, key, lr, grad: values };
-        prop_assert_eq!(PushReq::decode(&push.encode()).unwrap(), push);
-        let bar = BarrierReq { client_id: client, round: version, expected: table };
+        let bar = BarrierReq { client_id: client, round, expected };
         prop_assert_eq!(BarrierReq::decode(&bar.encode()).unwrap(), bar);
+        let ck = CheckpointReq { round };
+        prop_assert_eq!(CheckpointReq::decode(&ck.encode()).unwrap(), ck);
+        let ack = PushResp { applied };
+        prop_assert_eq!(PushResp::decode(&ack.encode()).unwrap(), ack);
+        let ctx = TraceContext { trace_id, span_id: round };
+        prop_assert_eq!(TraceContext::decode(&ctx.encode()).unwrap(), ctx);
     }
 
     #[test]
@@ -203,18 +201,37 @@ proptest! {
     }
 
     #[test]
-    fn truncated_payload_bodies_error(
+    fn truncated_or_padded_payload_bodies_error(
         values in proptest::collection::vec(-1e6f32..1e6, 1..32),
         cut in 1usize..256,
+        pad in proptest::collection::vec(0u8..=255, 1..16),
     ) {
-        let push = PushReq {
-            client_id: 1,
-            key: ParamKey::new(2, 3),
-            lr: 0.5,
-            grad: values,
-        };
-        let bytes = push.encode();
-        let cut = 1 + cut % (bytes.len() - 1);
-        prop_assert!(PushReq::decode(&bytes[..bytes.len() - cut]).is_err());
+        let versions: Vec<u64> = (0..values.len() as u64).collect();
+        let trace = TraceContext { trace_id: 1, span_id: 2 }.encode();
+        let payloads: [(&str, Vec<u8>, Rejects); 5] = [
+            (
+                "PullManyResp",
+                PullManyResp { versions, values }.encode(),
+                |b| PullManyResp::decode(b).is_err(),
+            ),
+            (
+                "BarrierReq",
+                BarrierReq { client_id: 1, round: 2, expected: 3 }.encode(),
+                |b| BarrierReq::decode(b).is_err(),
+            ),
+            ("CheckpointReq", CheckpointReq { round: 9 }.encode(), |b| CheckpointReq::decode(b).is_err()),
+            ("PushResp", PushResp { applied: true }.encode(), |b| PushResp::decode(b).is_err()),
+            ("TraceContext", trace.to_vec(), |b| TraceContext::decode(b).is_err()),
+        ];
+        for (name, bytes, rejects) in payloads {
+            // Every strict prefix is too short for its codec ...
+            let cut = 1 + cut % bytes.len();
+            prop_assert!(rejects(&bytes[..bytes.len() - cut]), "{} cut {}", name, cut);
+            // ... and trailing bytes are never silently ignored.
+            let mut long = bytes.clone();
+            long.extend_from_slice(&pad);
+            prop_assert!(rejects(&long), "{} padded by {}", name, pad.len());
+        }
+        prop_assert_eq!(TRACE_EXT_LEN, trace.len());
     }
 }

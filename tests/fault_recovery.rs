@@ -7,7 +7,7 @@
 
 use mamdr::data::{DomainSpec, GeneratorConfig, MdrDataset};
 use mamdr::obs::MetricsRegistry;
-use mamdr::ps::{checkpoint, DistributedConfig, DistributedMamdr, GuardConfig};
+use mamdr::ps::{checkpoint, DistributedConfig, DistributedMamdr, GuardConfig, ShardManifest};
 use mamdr::rpc::{DistributedTrainer, FaultPlan, LoopbackConfig, TrainerError};
 use mamdr::serve::ServingSnapshot;
 use std::path::PathBuf;
@@ -46,11 +46,11 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Interrupt a run after `interrupt_after` rounds (by simply configuring
-/// that many epochs — the driver process "dies" when the trainer is
-/// dropped), then resume from the journal directory and compare every
-/// report field and the final parameter bytes against an uninterrupted
-/// run. Exercised at 1 and 4 workers.
+/// Interrupt a run after 2 rounds (by simply configuring that many epochs
+/// — the driver process "dies" when the trainer is dropped), then resume
+/// from the checkpoint directory and compare every report field and the
+/// final parameter bytes against an uninterrupted run. Exercised at 1 and
+/// 4 workers.
 fn resume_is_bit_identical(n_workers: usize) {
     let ds = dataset();
     let full = train_config(n_workers, 4);
@@ -64,7 +64,8 @@ fn resume_is_bit_identical(n_workers: usize) {
     let expected_bytes = snapshot_bytes(uninterrupted.store(), full.dim);
     uninterrupted.shutdown();
 
-    // The "crashed" driver: journals every round, stops after round 2.
+    // The "crashed" driver: commits the seeded state as round 0, then
+    // every round, and stops after round 2.
     let crashed_cfg = LoopbackConfig {
         checkpoint_dir: Some(dir.clone()),
         checkpoint_every: 1,
@@ -74,7 +75,8 @@ fn resume_is_bit_identical(n_workers: usize) {
     let mut crashed = DistributedTrainer::new(&ds, crashed_cfg, Arc::clone(&metrics)).unwrap();
     crashed.train(&ds).unwrap();
     crashed.shutdown();
-    assert_eq!(metrics.counter("rpc_journal_writes_total").get(), 2);
+    assert_eq!(metrics.counter("rpc_journal_writes_total").get(), 3, "rounds 0, 1 and 2");
+    assert_eq!(metrics.counter("rpc_manifest_writes_total").get(), 3);
 
     // The restarted driver: resumes at round 2 and finishes the schedule.
     let resumed_cfg = LoopbackConfig {
@@ -85,7 +87,7 @@ fn resume_is_bit_identical(n_workers: usize) {
     };
     let metrics = Arc::new(MetricsRegistry::new());
     let mut resumed = DistributedTrainer::new(&ds, resumed_cfg, metrics).unwrap();
-    assert_eq!(resumed.start_epoch(), 2, "resume should pick up the newest journal");
+    assert_eq!(resumed.start_epoch(), 2, "resume should pick up the newest manifest");
     let report = resumed.train(&ds).unwrap();
 
     // Bit-identity, in the parameters and in every report aggregate: the
@@ -138,9 +140,10 @@ fn resume_falls_back_past_a_corrupt_journal() {
     crashed.train(&ds).unwrap();
     crashed.shutdown();
 
-    // Tear the newest journal (a crash mid-write); resume must fall back
-    // to the round-1 boundary and re-run rounds 1 and 2.
-    let newest = dir.join("journal-0000000002.mamdrj");
+    // Tear the newest journal (a crash mid-write): manifest 2 no longer
+    // verifies, so resume must fall back to the round-1 boundary and
+    // re-run rounds 1 and 2.
+    let newest = dir.join("shard-0/journal-0000000002.mamdrj");
     let bytes = std::fs::read(&newest).unwrap();
     std::fs::write(&newest, &bytes[..bytes.len() / 2]).unwrap();
 
@@ -164,7 +167,16 @@ fn resume_falls_back_past_a_corrupt_journal() {
 #[test]
 fn resume_refuses_a_bit_flipped_checkpoint() {
     let ds = dataset();
+    let full = train_config(2, 4);
     let dir = scratch_dir("flipped-checkpoint");
+
+    let mut uninterrupted =
+        DistributedTrainer::new(&ds, LoopbackConfig::new(full), Arc::new(MetricsRegistry::new()))
+            .unwrap();
+    let expected = uninterrupted.train(&ds).unwrap();
+    let expected_bytes = snapshot_bytes(uninterrupted.store(), full.dim);
+    uninterrupted.shutdown();
+
     let crashed_cfg = LoopbackConfig {
         checkpoint_dir: Some(dir.clone()),
         checkpoint_every: 1,
@@ -175,43 +187,50 @@ fn resume_refuses_a_bit_flipped_checkpoint() {
     crashed.train(&ds).unwrap();
     crashed.shutdown();
 
-    // Flip one payload byte of the checkpoint the newest (valid) journal
-    // names. The file keeps its length, so only its digest can tell.
-    let flipped = dir.join("ckpt-0000000002.mamdrps");
+    // Flip one payload byte of the checkpoint the newest manifest commits.
+    // The file keeps its length, so only its digest can tell.
+    let shard = dir.join("shard-0");
+    let flipped = shard.join("ckpt-0000000002.mamdrps");
     let mut bytes = std::fs::read(&flipped).unwrap();
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x01;
     std::fs::write(&flipped, &bytes).unwrap();
 
-    let resumed_cfg = LoopbackConfig {
-        checkpoint_dir: Some(dir.clone()),
-        checkpoint_every: 1,
-        resume: true,
-        ..LoopbackConfig::new(train_config(2, 4))
-    };
-    match DistributedTrainer::new(&ds, resumed_cfg, Arc::new(MetricsRegistry::new())) {
-        Err(TrainerError::Resume(msg)) => {
-            assert!(msg.contains("ckpt-0000000002.mamdrps"), "error must name the file: {msg}")
-        }
-        Err(other) => panic!("expected TrainerError::Resume, got {other}"),
-        Ok(mut resumed) => {
-            resumed.shutdown();
-            panic!("resume loaded a bit-flipped checkpoint");
-        }
-    }
+    // Discovery rejects manifest 2 on the recorded digest, before any
+    // file it names is parsed.
+    let manifest = ShardManifest::read(&dir.join("manifest-0000000002.mamdrmf")).unwrap();
+    let err = manifest.verify_files(&dir).unwrap_err().to_string();
+    assert!(err.contains("shard-0/ckpt-0000000002.mamdrps"), "must name the file: {err}");
 
-    // Serving discovers by digest: the flipped file is skipped and the
+    // Serving discovers by digest too: the flipped file is skipped and the
     // next-newest valid checkpoint (round 1) is served instead.
     let encode = |snap: &ServingSnapshot| {
         let mut buf = Vec::new();
         snap.write_to(&mut buf).unwrap();
         buf
     };
-    let served = ServingSnapshot::from_ps_checkpoint_dir(1, &dir, ds.n_domains())
+    let served = ServingSnapshot::from_ps_checkpoint_dir(1, &shard, ds.n_domains())
         .unwrap()
         .expect("an older valid checkpoint remains");
-    let round1 = checkpoint::load_from_path(&dir.join("ckpt-0000000001.mamdrps"), 1).unwrap();
+    let round1 = checkpoint::load_from_path(&shard.join("ckpt-0000000001.mamdrps"), 1).unwrap();
     assert_eq!(encode(&served), encode(&ServingSnapshot::from_ps(1, &round1, ds.n_domains())));
+
+    // Resume therefore restarts from the round-1 boundary, never loads the
+    // flipped file, and still ends byte-identical to the uninterrupted run.
+    let resumed_cfg = LoopbackConfig {
+        checkpoint_dir: Some(dir.clone()),
+        checkpoint_every: 1,
+        resume: true,
+        ..LoopbackConfig::new(full)
+    };
+    let mut resumed =
+        DistributedTrainer::new(&ds, resumed_cfg, Arc::new(MetricsRegistry::new())).unwrap();
+    assert_eq!(resumed.start_epoch(), 1, "the flipped round-2 commit must be skipped");
+    let report = resumed.train(&ds).unwrap();
+    assert_eq!(report.round_losses, expected.round_losses);
+    assert_eq!(report.mean_auc.to_bits(), expected.mean_auc.to_bits());
+    assert_eq!(snapshot_bytes(resumed.store(), full.dim), expected_bytes);
+    resumed.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -229,7 +248,7 @@ fn resume_without_a_journal_is_a_typed_error() {
         Err(other) => panic!("expected TrainerError::Resume, got {other}"),
         Ok(_) => panic!("resume from an empty directory should fail"),
     }
-    // And resume/journaling without a directory is rejected up front.
+    // And resume/checkpointing without a directory is rejected up front.
     let cfg = LoopbackConfig { checkpoint_every: 3, ..LoopbackConfig::new(train_config(1, 1)) };
     assert!(matches!(
         DistributedTrainer::new(&ds, cfg, Arc::new(MetricsRegistry::new())),

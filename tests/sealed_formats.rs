@@ -10,9 +10,10 @@
 //! a complete, valid, newer file.
 
 use mamdr::ps::checkpoint::{self, latest_checkpoint};
+use mamdr::ps::journal::JOURNAL_EXT;
 use mamdr::ps::{
-    latest_journal, latest_manifest, shard_dir, snapshot_path, CacheStats, ParamKey,
-    ParameterServer, RoundJournal, ShardFiles, ShardManifest, SNAPSHOT_EXT,
+    latest_manifest, shard_dir, snapshot_path, CacheStats, ParamKey, ParameterServer, RoundJournal,
+    ShardFiles, ShardManifest, SNAPSHOT_EXT,
 };
 use mamdr::serve::ServingSnapshot;
 use mamdr::util::sealed::{self, staging_path};
@@ -94,7 +95,11 @@ const FORMATS: &[Format] = &[
         magic: b"MAMDRJN1",
         commit: commit_journal,
         read: |p| RoundJournal::read(p).map(drop).map_err(|e| e.to_string()),
-        discover: |d| latest_journal(d, None).unwrap().map(|(p, _)| p),
+        discover: |d| {
+            sealed::newest_valid(d, "journal", JOURNAL_EXT, RoundJournal::read, |_, _| {})
+                .unwrap()
+                .map(|(p, _)| p)
+        },
     },
     Format {
         name: "manifest",
